@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke sweep-smoke hetero-smoke fabric-smoke bench-perf bench-fabric-perf bench-grid-perf bench-replication bench examples
+.PHONY: test bench-smoke sweep-smoke hetero-smoke fabric-smoke bench-perf bench-fabric-perf bench-grid-perf bench-replication bench examples perfbench-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -67,6 +67,23 @@ bench-grid-perf:
 # and the >=3x workers=4 speedup criterion on machines with >=4 cores.
 bench-replication:
 	$(PYTHON) -m pytest -q benchmarks/bench_replication.py
+
+# The benchmark's correctness smoke: a 1 s run of every perfbench workload
+# on the default seed (11) and the held-out seed (7).  Each run checks its
+# outputs, including the rendered result's SHA-256 against
+# perfbench/reference.json; the target fails unless every result line
+# reads "correct": true.
+PERFBENCH_WORKLOADS := mixed-rack-des kvs-sweep-pool fabric-sweep-analytic fabric-sweep-adaptive
+
+perfbench-check:
+	@for seed in 11 7; do \
+		for workload in $(PERFBENCH_WORKLOADS); do \
+			result=$$($(PYTHON) perfbench/run.py --workload $$workload \
+				--seed $$seed --seconds 1 --trace 0 | tail -n 1) || exit 1; \
+			echo "$$workload seed $$seed: $$result"; \
+			echo "$$result" | grep -q '"correct": true' || exit 1; \
+		done; \
+	done
 
 # The full paper-vs-measured record (slow: includes the DES transitions
 # and the rack-scale scenario).  Explicit file list: bench_*.py does not

@@ -34,7 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..sim.recorder import percentiles
 from .builder import ScenarioBuilder, ScenarioResult, ScenarioRun
 from .registry import _REGISTRY, resolve_factory
@@ -612,14 +612,40 @@ def _hybrid_ondemand_aggregate(
 def _run_grid_point(
     task: Tuple[ScenarioSweepSpec, Dict[str, object], bool]
 ) -> SweepPointResult:
-    """Execute every pinned variant of one grid point.
+    """The executor's task: every pinned variant of one grid point.
 
-    Module-level (not a closure) so the parallel executor can pickle it to
-    worker processes.  Each point builds its own Simulator and RNGs from
-    the spec's seeds, so running points in separate processes produces the
+    Module-level (not a closure) so the pool can pickle it to worker
+    processes.  Each point builds its own Simulator and RNGs from the
+    spec's seeds, so running points in separate processes produces the
     same :class:`SweepPointResult` values as the serial loop.
+
+    A failure is re-raised naming the point — its params, seed and
+    :func:`spec_hash` — with the original chained.  It becomes a
+    :class:`SimulationError`, except that a :class:`ConfigurationError`
+    keeps its class: the caller's spec is at fault, and the CLI reports
+    it as bad input.
     """
     spec, params, fastpath = task
+    try:
+        return _evaluate_grid_point(spec, params, fastpath)
+    except Exception as exc:
+        overrides = {**spec.fixed_dict(), **params}
+        kind = (
+            ConfigurationError
+            if isinstance(exc, ConfigurationError)
+            else SimulationError
+        )
+        raise kind(
+            f"sweep {spec.name!r} grid point {params} "
+            f"(seed={overrides.get('seed', 'scenario default')}, "
+            f"spec_hash={spec_hash(spec.base, overrides)}) failed: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _evaluate_grid_point(
+    spec: ScenarioSweepSpec, params: Dict[str, object], fastpath: bool
+) -> SweepPointResult:
     scenario = _materialize(spec, params)
     if fastpath:
         from .fastpath import split_steady, steady_eligible
@@ -765,26 +791,6 @@ def _auto_chunksize(n_tasks: int, workers: int) -> int:
     return max(1, n_tasks // (max(1, workers) * 4))
 
 
-def _require_fastpath_eligibility(
-    spec: ScenarioSweepSpec, grid: Sequence[Dict[str, object]]
-) -> None:
-    """``fastpath=True`` on a sweep where no grid point qualifies would
-    silently run the full DES for everything — refuse instead."""
-    from .fastpath import steady_eligible
-
-    if any(
-        steady_eligible(software_variant(_materialize(spec, params)))
-        for params in grid
-    ):
-        return
-    raise ConfigurationError(
-        f"sweep {spec.name!r} over {spec.base!r}: fastpath=True, but no "
-        "grid point is steady-state eligible — every point would silently "
-        "run the full DES; drop fastpath=True or sweep an eligible "
-        "scenario (see repro.scenarios.fastpath.steady_eligible)"
-    )
-
-
 def _run_grid_point_packed(
     task: Tuple[ScenarioSweepSpec, Dict[str, object], bool]
 ) -> tuple:
@@ -794,20 +800,109 @@ def _run_grid_point_packed(
     return _pack_point(_run_grid_point(task))
 
 
+def _dispatch(
+    tasks: Sequence[Tuple[ScenarioSweepSpec, Dict[str, object], bool]],
+    workers: Optional[int],
+) -> List[SweepPointResult]:
+    """Run grid-point tasks, in task order — the one dispatch path of
+    :func:`run_sweep`, :func:`run_replicated` and the adaptive probe waves.
+
+    ``workers`` > 1 fans the tasks out over the persistent pool in
+    auto-sized chunks, results shipped back packed; otherwise (or for a
+    single task) they run in-process.  Every point seeds its own simulator
+    and RNGs, and ``Pool.map`` preserves task order, so the result is the
+    same list either way.
+    """
+    if workers is None or workers == 1 or len(tasks) <= 1:
+        return [_run_grid_point(task) for task in tasks]
+    pool = _get_pool(workers)
+    _EXECUTOR_STATS["tasks_dispatched"] += len(tasks)
+    try:
+        packed = pool.map(
+            _run_grid_point_packed, tasks, _auto_chunksize(len(tasks), workers)
+        )
+    except Exception:
+        # a dead or poisoned pool must not wedge the next call
+        shutdown_executor()
+        raise
+    return [_unpack_point(*blob) for blob in packed]
+
+
+def _fastpath_flags(
+    spec: ScenarioSweepSpec, grid: Sequence[Dict[str, object]]
+) -> List[bool]:
+    """Per grid point: can the steady fast path answer it?"""
+    from .fastpath import steady_eligible
+
+    return [
+        steady_eligible(software_variant(_materialize(spec, params)))
+        for params in grid
+    ]
+
+
+def _fastpath_des_points(
+    spec: ScenarioSweepSpec, grid: Sequence[Dict[str, object]]
+) -> int:
+    """Grid points ``fastpath=True`` still replays through the DES.
+
+    A sweep where no point qualifies would silently run the full DES for
+    everything — refuse instead.  Materializing the grid here also warms
+    the spec cache that fork workers inherit.
+    """
+    ineligible = _fastpath_flags(spec, grid).count(False)
+    if ineligible < len(grid):
+        return ineligible
+    raise ConfigurationError(
+        f"sweep {spec.name!r} over {spec.base!r}: fastpath=True, but no "
+        "grid point is steady-state eligible — every point would silently "
+        "run the full DES; drop fastpath=True or sweep an eligible "
+        "scenario (see repro.scenarios.fastpath.steady_eligible)"
+    )
+
+
 _SEARCH_MODES = ("exhaustive", "adaptive")
 
 
-def _count_ineligible(
-    spec: ScenarioSweepSpec, grid: Sequence[Dict[str, object]]
-) -> int:
-    """Grid points the fast path cannot answer (they replay the DES)."""
-    from .fastpath import steady_eligible
+def _resolve_sweep(
+    sweep: Union[str, ScenarioSweepSpec], overrides: Dict[str, object]
+) -> ScenarioSweepSpec:
+    """The validated spec of a named sweep (factory ``overrides``
+    applied) or of an explicit spec (which takes no overrides)."""
+    if isinstance(sweep, ScenarioSweepSpec):
+        if overrides:
+            raise ConfigurationError(
+                "overrides apply to named sweeps; pass an adjusted spec instead"
+            )
+        spec = sweep
+    else:
+        spec = build_sweep_spec(sweep, **overrides)
+    return spec.validate()
 
-    return sum(
-        1
-        for params in grid
-        if not steady_eligible(software_variant(_materialize(spec, params)))
-    )
+
+def _check_search(
+    search: str,
+    fastpath: bool,
+    anchors: Sequence[Dict[str, object]],
+    workers: Optional[int],
+) -> None:
+    """Reject inconsistent evaluation options before any point runs."""
+    if workers is not None and workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if search not in _SEARCH_MODES:
+        raise ConfigurationError(
+            f"unknown search mode {search!r}; choose "
+            f"{', '.join(_SEARCH_MODES)}"
+        )
+    if anchors and search != "adaptive":
+        raise ConfigurationError(
+            "anchors apply to search='adaptive' (the exhaustive search "
+            "replays every grid point anyway)"
+        )
+    if fastpath and search == "adaptive":
+        raise ConfigurationError(
+            "fastpath=True is redundant under search='adaptive' (un"
+            "probed points are already analytic); choose one of the two"
+        )
 
 
 def _validate_anchors(
@@ -857,32 +952,6 @@ def _bracket_first_win(flags: Sequence[bool]) -> Optional[int]:
     if any(flags[pos] for pos in range(lo)):  # non-monotone analytics
         return list(flags).index(True)
     return lo
-
-
-def _run_des_points(
-    spec: ScenarioSweepSpec,
-    grid: Sequence[Dict[str, object]],
-    indices: Sequence[int],
-    workers: Optional[int],
-) -> Dict[int, SweepPointResult]:
-    """Full-DES evaluation of selected grid points (one adaptive probe
-    wave), serial or through the persistent pool — byte-identical to the
-    same points of an exhaustive run."""
-    tasks = [(spec, grid[i], False) for i in indices]
-    if workers is None or workers == 1 or len(tasks) <= 1:
-        return {i: _run_grid_point(task) for i, task in zip(indices, tasks)}
-    pool = _get_pool(workers)
-    _EXECUTOR_STATS["tasks_dispatched"] += len(tasks)
-    try:
-        packed = pool.map(
-            _run_grid_point_packed,
-            tasks,
-            chunksize=_auto_chunksize(len(tasks), workers),
-        )
-    except Exception:
-        shutdown_executor()
-        raise
-    return {i: _unpack_point(*blob) for i, blob in zip(indices, packed)}
 
 
 def _linear_fill(
@@ -1104,8 +1173,10 @@ def _run_adaptive(
         todo = sorted(i for i in pending if i not in probed)
         pending.clear()
         if todo:
-            fresh = _run_des_points(spec, grid, todo, workers)
-            probed.update(fresh)
+            # one probe wave; byte-identical to the same points of an
+            # exhaustive run
+            tasks = [(spec, grid[i], False) for i in todo]
+            probed.update(zip(todo, _dispatch(tasks, workers)))
         for g, indices in adaptive_groups:
             if g in demoted:
                 pending.update(i for i in indices if i not in probed)
@@ -1217,12 +1288,10 @@ def run_sweep(
     """Execute a sweep (named, or an explicit spec) over its whole grid.
 
     ``workers`` > 1 fans the grid points out over the persistent process
-    pool (one point — all of its pinned runs — per task, dispatched in
-    auto-sized chunks, results shipped back packed).  Every point seeds
-    its own simulator and RNGs, so the parallel result is identical to
-    the serial one; ``Pool.map`` preserves grid order, so so is the point
-    order (and therefore the rendered tables).  The default is the serial
-    in-process loop.
+    pool (one point — all of its pinned runs — per task; see
+    :func:`_dispatch`).  The parallel result, point order included, is
+    identical to the serial one.  The default is the serial in-process
+    loop.
 
     ``fastpath=True`` answers steady-state-eligible grid points (see
     :func:`repro.scenarios.fastpath.steady_eligible`) from the analytic
@@ -1244,57 +1313,13 @@ def run_sweep(
     ``result.des_points_run / result.grid_points_total`` is the savings
     counter.
     """
-    if isinstance(sweep, ScenarioSweepSpec):
-        if overrides:
-            raise ConfigurationError(
-                "overrides apply to named sweeps; pass an adjusted spec instead"
-            )
-        spec = sweep
-    else:
-        spec = build_sweep_spec(sweep, **overrides)
-    spec.validate()
-    if workers is not None and workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if search not in _SEARCH_MODES:
-        raise ConfigurationError(
-            f"unknown search mode {search!r}; choose "
-            f"{', '.join(_SEARCH_MODES)}"
-        )
-    if anchors and search != "adaptive":
-        raise ConfigurationError(
-            "anchors apply to search='adaptive' (the exhaustive search "
-            "replays every grid point anyway)"
-        )
+    spec = _resolve_sweep(sweep, overrides)
+    _check_search(search, fastpath, anchors, workers)
     grid = spec.points()
     if search == "adaptive":
-        if fastpath:
-            raise ConfigurationError(
-                "fastpath=True is redundant under search='adaptive' (un"
-                "probed points are already analytic); choose one of the two"
-            )
         return _run_adaptive(spec, grid, workers, anchors=anchors)
-    if fastpath:
-        # pre-warming the materialization cache here also seeds the fork
-        # workers' caches (they inherit it), so the check is ~free
-        _require_fastpath_eligibility(spec, grid)
-    tasks = [(spec, params, fastpath) for params in grid]
-    if workers is None or workers == 1 or len(tasks) <= 1:
-        points = [_run_grid_point(task) for task in tasks]
-    else:
-        pool = _get_pool(workers)
-        _EXECUTOR_STATS["tasks_dispatched"] += len(tasks)
-        try:
-            packed = pool.map(
-                _run_grid_point_packed,
-                tasks,
-                chunksize=_auto_chunksize(len(tasks), workers),
-            )
-        except Exception:
-            # a dead or poisoned pool must not wedge the next call
-            shutdown_executor()
-            raise
-        points = [_unpack_point(*blob) for blob in packed]
-    des_points = _count_ineligible(spec, grid) if fastpath else len(grid)
+    des_points = _fastpath_des_points(spec, grid) if fastpath else len(grid)
+    points = _dispatch([(spec, params, fastpath) for params in grid], workers)
     return ScenarioSweepResult(
         spec=spec, points=points, des_points_run=des_points
     )
@@ -1321,55 +1346,6 @@ def replication_seeds(base_seed: int, k: int) -> List[int]:
         digest = hashlib.sha256(f"{base_seed}:replicate:{i}".encode()).digest()
         seeds.append(int.from_bytes(digest[:8], "big"))
     return seeds
-
-
-@dataclass(frozen=True)
-class ReplicationSpec:
-    """How to replicate a sweep: K seeds per grid point.
-
-    ``workers`` fans the K × points task list over a process pool;
-    ``chunksize`` is the work-stealing granularity of the unordered
-    executor.  The default (``None``) auto-tunes it from the task count
-    and worker count (:func:`_auto_chunksize`) — per-task dispatch was
-    measurably slower than serial on short tasks; ``1`` restores the
-    finest stealing.  ``fastpath`` forwards to :func:`run_sweep`'s
-    steady-state analytics.  ``search="adaptive"`` brackets the
-    crossovers once on seed 0's analytic grid and DES-validates the
-    bracket per replicate seed (each seed's tipping rows are its own
-    DES-confirmed ones; later seeds just start the walk from seed 0's
-    answer instead of re-deriving the bracket).
-    """
-
-    seeds: int = 8
-    workers: Optional[int] = None
-    chunksize: Optional[int] = None
-    fastpath: bool = False
-    search: str = "exhaustive"
-
-    def validate(self) -> "ReplicationSpec":
-        if self.seeds < 1:
-            raise ConfigurationError(
-                f"replication needs >= 1 seed, got {self.seeds}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
-        if self.chunksize is not None and self.chunksize < 1:
-            raise ConfigurationError(
-                f"chunksize must be >= 1, got {self.chunksize}"
-            )
-        if self.search not in _SEARCH_MODES:
-            raise ConfigurationError(
-                f"unknown search mode {self.search!r}; choose "
-                f"{', '.join(_SEARCH_MODES)}"
-            )
-        if self.search == "adaptive" and self.fastpath:
-            raise ConfigurationError(
-                "fastpath=True is redundant under search='adaptive' (un"
-                "probed points are already analytic); choose one of the two"
-            )
-        return self
 
 
 #: two-sided 95% t critical values keyed by sample count (df = n-1);
@@ -1470,18 +1446,6 @@ def _with_seed(spec: ScenarioSweepSpec, seed: int) -> ScenarioSweepSpec:
     return dataclasses.replace(
         spec, fixed={**spec.fixed_dict(), "seed": seed}
     )
-
-
-def _run_replicated_task(
-    task: Tuple[int, int, ScenarioSweepSpec, Dict[str, object], bool]
-) -> Tuple[int, int, tuple]:
-    """One (replicate, grid point) unit of work, packed for transport.
-
-    Module-level so the pool can pickle it; the (rep, point) indices ride
-    along because the executor is unordered (work stealing)."""
-    rep_idx, pt_idx, spec, params, fastpath = task
-    point = _run_grid_point((spec, params, fastpath))
-    return rep_idx, pt_idx, _pack_point(point)
 
 
 @dataclass
@@ -1613,25 +1577,21 @@ class ReplicatedSweepResult:
 
 def run_replicated(
     sweep: Union[str, ScenarioSweepSpec],
-    replication: Optional[ReplicationSpec] = None,
     *,
-    seeds: Optional[int] = None,
+    seeds: int = 8,
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    fastpath: Optional[bool] = None,
-    search: Optional[str] = None,
+    fastpath: bool = False,
+    search: str = "exhaustive",
     **overrides,
 ) -> ReplicatedSweepResult:
     """Run a sweep K times with independent seeds (§9.4 with error bars).
 
-    The K × grid-points task list is flattened through one unordered,
-    chunked process pool — work stealing across both axes, so a slow grid
-    point on one seed does not serialize the other seeds — and each task
-    ships back only its packed aggregate (:func:`_pack_point`), never raw
-    series.  Per-seed results reassemble deterministically by (seed,
-    point) index: ``result.runs[i]`` is byte-identical to running
-    ``run_sweep`` serially with seed ``result.seeds[i]``, regardless of
-    worker count or completion order.
+    Replication is the grid path with a seed axis: the K seed variants ×
+    grid points flatten into one task list through :func:`_dispatch`
+    (``workers``, ``fastpath`` and ``**overrides`` mean what they mean in
+    :func:`run_sweep`), and the results reassemble by index —
+    ``result.runs[i]`` is byte-identical to running ``run_sweep`` with
+    seed ``result.seeds[i]``, regardless of worker count.
 
     ``search="adaptive"`` brackets the crossovers once, on seed 0's
     analytic grid, and reuses the confirmed bracket as every later
@@ -1641,46 +1601,18 @@ def run_replicated(
     matches a standalone adaptive run of seed ``i``, while the probe
     *set* — and therefore which fill points are analytic estimates —
     may differ from the standalone run's.
-
-    Keyword shortcuts (``seeds=``, ``workers=``, ``chunksize=``,
-    ``fastpath=``, ``search=``) override the corresponding
-    :class:`ReplicationSpec` fields; ``**overrides`` forward to the
-    named sweep's factory exactly as in :func:`run_sweep`.
     """
-    rep = replication if replication is not None else ReplicationSpec()
-    if seeds is not None:
-        rep = dataclasses.replace(rep, seeds=seeds)
-    if workers is not None:
-        rep = dataclasses.replace(rep, workers=workers)
-    if chunksize is not None:
-        rep = dataclasses.replace(rep, chunksize=chunksize)
-    if fastpath is not None:
-        rep = dataclasses.replace(rep, fastpath=fastpath)
-    if search is not None:
-        rep = dataclasses.replace(rep, search=search)
-    rep.validate()
-    if isinstance(sweep, ScenarioSweepSpec):
-        if overrides:
-            raise ConfigurationError(
-                "overrides apply to named sweeps; pass an adjusted spec instead"
-            )
-        spec = sweep
-    else:
-        spec = build_sweep_spec(sweep, **overrides)
-    spec.validate()
-    base_seed = spec.fixed_dict().get("seed")
+    spec = _resolve_sweep(sweep, overrides)
+    _check_search(search, fastpath, (), workers)
     grid = spec.points()
+    base_seed = spec.fixed_dict().get("seed")
     if base_seed is None:
         # the sweep does not pin a seed: replicate around the scenario's
         # own default (read off the first materialized point)
         base_seed = _materialize(spec, grid[0]).seed
-    if rep.fastpath:
-        # eligibility is seed-independent, so the base grid stands in for
-        # every replicate's
-        _require_fastpath_eligibility(spec, grid)
-    seed_list = replication_seeds(int(base_seed), rep.seeds)
+    seed_list = replication_seeds(int(base_seed), seeds)
     variants = [_with_seed(spec, s) for s in seed_list]
-    if rep.search == "adaptive":
+    if search == "adaptive":
         # bracket once on seed 0's analytic grid; later replicates start
         # their DES validation from seed 0's confirmed crossovers
         hints: Optional[Dict[int, Optional[int]]] = None
@@ -1691,7 +1623,7 @@ def run_replicated(
                 _run_adaptive(
                     variant,
                     variant.points(),
-                    rep.workers,
+                    workers,
                     bracket_hints=hints,
                     hints_out=hints_out,
                 )
@@ -1699,43 +1631,19 @@ def run_replicated(
             if hints is None:
                 hints = hints_out
         return ReplicatedSweepResult(spec=spec, seeds=seed_list, runs=runs)
-    tasks = [
-        (rep_idx, pt_idx, variants[rep_idx], params, rep.fastpath)
-        for rep_idx in range(rep.seeds)
-        for pt_idx, params in enumerate(grid)
-    ]
-    packed: Dict[Tuple[int, int], tuple] = {}
-    if rep.workers is None or rep.workers == 1 or len(tasks) <= 1:
-        for task in tasks:
-            rep_idx, pt_idx, blob = _run_replicated_task(task)
-            packed[(rep_idx, pt_idx)] = blob
-    else:
-        chunksize = (
-            rep.chunksize
-            if rep.chunksize is not None
-            else _auto_chunksize(len(tasks), rep.workers)
-        )
-        pool = _get_pool(rep.workers)
-        _EXECUTOR_STATS["tasks_dispatched"] += len(tasks)
-        try:
-            for rep_idx, pt_idx, blob in pool.imap_unordered(
-                _run_replicated_task, tasks, chunksize=chunksize
-            ):
-                packed[(rep_idx, pt_idx)] = blob
-        except Exception:
-            shutdown_executor()
-            raise
-    des_points = _count_ineligible(spec, grid) if rep.fastpath else len(grid)
+    # eligibility is seed-independent, so the base grid stands in for
+    # every replicate's
+    des_points = _fastpath_des_points(spec, grid) if fastpath else len(grid)
+    tasks = [(v, params, fastpath) for v in variants for params in grid]
+    points = _dispatch(tasks, workers)
+    n = len(grid)
     runs = [
         ScenarioSweepResult(
-            spec=variants[rep_idx],
-            points=[
-                _unpack_point(*packed[(rep_idx, pt_idx)])
-                for pt_idx in range(len(grid))
-            ],
+            spec=variant,
+            points=points[k * n:(k + 1) * n],
             des_points_run=des_points,
         )
-        for rep_idx in range(rep.seeds)
+        for k, variant in enumerate(variants)
     ]
     return ReplicatedSweepResult(spec=spec, seeds=seed_list, runs=runs)
 
@@ -1823,20 +1731,8 @@ def sweep_fastpath_eligibility(
     are (``fastpath=True`` and ``search="adaptive"`` both refuse).
     Shown per sweep by ``python -m repro --list``.
     """
-    from .fastpath import steady_eligible
-
-    if isinstance(sweep, ScenarioSweepSpec):
-        if overrides:
-            raise ConfigurationError(
-                "overrides apply to named sweeps; pass an adjusted spec instead"
-            )
-        spec = sweep
-    else:
-        spec = build_sweep_spec(sweep, **overrides)
-    flags = [
-        steady_eligible(software_variant(_materialize(spec, params)))
-        for params in spec.points()
-    ]
+    spec = _resolve_sweep(sweep, overrides)
+    flags = _fastpath_flags(spec, spec.points())
     if all(flags):
         return "eligible"
     if any(flags):

@@ -4,7 +4,7 @@ Time is a float in **microseconds** (see :mod:`repro.units`).  Events are
 callbacks ordered by (time, sequence), so same-time events run in the order
 they were scheduled — a property several protocol tests rely on.
 
-Two scheduling tiers share one total order:
+Two scheduling tiers share one binary heap and one total order:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
   cancellable, named :class:`Event` — the observable API.
@@ -14,11 +14,6 @@ Two scheduling tiers share one total order:
   ``(time, seq, fn, arg)``) tuples on the heap, compared at C speed.  The
   sequence numbers come from the same counter, so fast and slow entries
   interleave in exactly the order they were scheduled.
-
-The default event queue is a binary heap; ``Simulator(scheduler="calendar")``
-swaps in the bucketed calendar queue of :mod:`repro.sim.calqueue`, which
-suits workloads dominated by near-uniform inter-arrival times.  Both order
-events identically by (time, seq).
 """
 
 from __future__ import annotations
@@ -28,8 +23,6 @@ import itertools
 from typing import Callable, List, Optional
 
 from ..errors import SimulationError
-
-_HEAP_SCHEDULERS = ("heap", "calendar")
 
 
 class Event:
@@ -84,12 +77,7 @@ class Simulator:
         sim.run_until(100.0)
     """
 
-    def __init__(self, scheduler: str = "heap") -> None:
-        if scheduler not in _HEAP_SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; choose one of "
-                f"{', '.join(_HEAP_SCHEDULERS)}"
-            )
+    def __init__(self) -> None:
         self._now = 0.0
         #: heap entries are (time, seq, payload[, arg]) tuples; payload is
         #: an Event (cancellable tier) or a bare callable (fast tier).  seq
@@ -104,13 +92,6 @@ class Simulator:
         #: live (scheduled, not yet executed, not cancelled) event count;
         #: kept in sync by schedule/cancel/step so :attr:`pending` is O(1).
         self._live = 0
-        self.scheduler = scheduler
-        if scheduler == "calendar":
-            from .calqueue import CalendarQueue
-
-            self._calq: Optional["CalendarQueue"] = CalendarQueue()
-        else:
-            self._calq = None
 
     # -- clock ---------------------------------------------------------
 
@@ -153,7 +134,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self._now + delay
         event = Event(time, next(self._seq), callback, name, sim=self)
-        self._push((time, event.seq, event))
+        heapq.heappush(self._heap, (time, event.seq, event))
         self._live += 1
         return event
 
@@ -166,7 +147,7 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self._now}"
             )
         event = Event(time, next(self._seq), callback, name, sim=self)
-        self._push((time, event.seq, event))
+        heapq.heappush(self._heap, (time, event.seq, event))
         self._live += 1
         return event
 
@@ -179,12 +160,9 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if self._calq is None:
-            heapq.heappush(
-                self._heap, (self._now + delay, next(self._seq), callback)
-            )
-        else:
-            self._calq.push((self._now + delay, next(self._seq), callback))
+        heapq.heappush(
+            self._heap, (self._now + delay, next(self._seq), callback)
+        )
         self._live += 1
 
     def schedule_call(self, delay: float, callback, arg) -> None:
@@ -195,19 +173,10 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if self._calq is None:
-            heapq.heappush(
-                self._heap, (self._now + delay, next(self._seq), callback, arg)
-            )
-        else:
-            self._calq.push((self._now + delay, next(self._seq), callback, arg))
+        heapq.heappush(
+            self._heap, (self._now + delay, next(self._seq), callback, arg)
+        )
         self._live += 1
-
-    def _push(self, entry: tuple) -> None:
-        if self._calq is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            self._calq.push(entry)
 
     def reschedule(self, event: Event, delay: float) -> Event:
         """Re-arm an **executed** :class:`Event` ``delay`` microseconds from
@@ -231,7 +200,7 @@ class Simulator:
         event.time = self._now + delay
         event.seq = next(self._seq)
         event._done = False
-        self._push((event.time, event.seq, event))
+        heapq.heappush(self._heap, (event.time, event.seq, event))
         self._live += 1
         self._reused += 1
         return event
@@ -369,13 +338,10 @@ class Simulator:
             # the refill shares the last tick's time but a later seq, so it
             # runs immediately after it and tops the queue back up
             entries.append((t, next(seq), refill))
-            if self._calq is None:
-                heap = self._heap
-                push = heapq.heappush
-                for entry in entries:
-                    push(heap, entry)
-            else:
-                self._calq.push_many(entries)
+            heap = self._heap
+            push = heapq.heappush
+            for entry in entries:
+                push(heap, entry)
             self._live += len(entries)
 
         refill()
@@ -383,27 +349,11 @@ class Simulator:
 
     # -- running -------------------------------------------------------
 
-    def _pop_next(self) -> Optional[tuple]:
-        """Pop the next entry from whichever queue backs this simulator."""
-        if self._calq is None:
-            if not self._heap:
-                return None
-            return heapq.heappop(self._heap)
-        return self._calq.pop()
-
-    def _peek_next(self) -> Optional[tuple]:
-        if self._calq is None:
-            if not self._heap:
-                return None
-            return self._heap[0]
-        return self._calq.peek()
-
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
-        while True:
-            entry = self._pop_next()
-            if entry is None:
-                return False
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
             payload = entry[2]
             if payload.__class__ is Event:
                 if payload.cancelled:
@@ -423,6 +373,7 @@ class Simulator:
             else:
                 callback()
             return True
+        return False
 
     def run_until(self, time: float, max_events: Optional[int] = None) -> None:
         """Run events until the clock reaches ``time`` (inclusive of events
@@ -441,10 +392,7 @@ class Simulator:
             raise SimulationError(f"cannot run backwards to t={time}")
         self._running = True
         try:
-            if self._calq is None:
-                self._run_heap_until(time, max_events)
-            else:
-                self._run_calendar_until(time, max_events)
+            self._run_heap_until(time, max_events)
             self._now = max(self._now, time)
         finally:
             self._running = False
@@ -475,38 +423,6 @@ class Simulator:
                 budget -= 1
             pop(heap)
             self._now = entry_time
-            self._executed += 1
-            self._live -= 1
-            if payload.__class__ is event_class:
-                payload._done = True
-                payload.callback()
-            elif len(entry) == 4:
-                payload(entry[3])
-            else:
-                payload()
-
-    def _run_calendar_until(self, time: float, max_events: Optional[int]) -> None:
-        calq = self._calq
-        budget = max_events
-        event_class = Event
-        while True:
-            entry = calq.peek()
-            if entry is None:
-                break
-            payload = entry[2]
-            if payload.__class__ is event_class and payload.cancelled:
-                calq.pop()
-                continue
-            if entry[0] > time:
-                break
-            if budget is not None:
-                if budget <= 0:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} before t={time}"
-                    )
-                budget -= 1
-            calq.pop()
-            self._now = entry[0]
             self._executed += 1
             self._live -= 1
             if payload.__class__ is event_class:

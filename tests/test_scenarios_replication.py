@@ -3,9 +3,9 @@
 The contract under test: replication is *exact* — ``runs[0]`` is
 byte-identical to the unreplicated sweep, every ``runs[i]`` is
 byte-identical to a serial ``run_sweep`` with that seed pinned, and
-neither the worker count nor the work-stealing chunk size changes a
-single rendered byte.  On top of that sit the cross-seed reductions
-(mean ± 95% CI, tipping fractions) and their rendering.
+the worker count does not change a single rendered byte.  On top of
+that sit the cross-seed reductions (mean ± 95% CI, tipping fractions)
+and their rendering.
 """
 
 import math
@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenarios import (
-    ReplicationSpec,
     build_sweep_spec,
     replicate_stats,
     replication_seeds,
@@ -62,12 +61,9 @@ def test_replication_seeds_rejects_zero():
 
 def test_replication_spec_validation():
     with pytest.raises(ConfigurationError):
-        ReplicationSpec(seeds=0).validate()
+        run_replicated(_spec(), seeds=0)
     with pytest.raises(ConfigurationError):
-        ReplicationSpec(workers=0).validate()
-    with pytest.raises(ConfigurationError):
-        ReplicationSpec(chunksize=0).validate()
-    assert ReplicationSpec().validate().seeds == 8
+        run_replicated(_spec(), workers=0)
 
 
 # -- cross-seed statistics ---------------------------------------------------
@@ -164,10 +160,8 @@ def test_each_seed_matches_serial_run_sweep():
 def test_worker_count_and_chunksize_do_not_change_bytes():
     serial = run_replicated(_spec(), seeds=2)
     pooled = run_replicated(_spec(), seeds=2, workers=2)
-    chunked = run_replicated(_spec(), seeds=2, workers=2, chunksize=2)
     want = [run.render() for run in serial.runs]
     assert [run.render() for run in pooled.runs] == want
-    assert [run.render() for run in chunked.runs] == want
 
 
 # -- reductions and rendering ------------------------------------------------

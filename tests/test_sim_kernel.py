@@ -301,57 +301,6 @@ def test_call_every_batched_validation():
         sim.call_every_batched(10.0, lambda: None, jitter=0.3)  # needs rng
 
 
-# -- the calendar-queue scheduler --------------------------------------------
-
-
-def test_unknown_scheduler_rejected():
-    with pytest.raises(SimulationError):
-        Simulator(scheduler="fifo")
-
-
-def test_calendar_scheduler_matches_heap_order():
-    """Both schedulers pop in (time, seq) order, so a mixed event/fast/call
-    schedule executes identically under either queue."""
-    import random
-
-    rng = random.Random(17)
-    times = [rng.uniform(0.0, 50.0) for _ in range(300)]
-    orders = []
-    for scheduler in ("heap", "calendar"):
-        sim = Simulator(scheduler=scheduler)
-        order = []
-        for i, t in enumerate(times):
-            if i % 3 == 0:
-                sim.schedule(t, lambda i=i: order.append(i))
-            elif i % 3 == 1:
-                sim.schedule_fast(t, lambda i=i: order.append(i))
-            else:
-                sim.schedule_call(t, order.append, i)
-        sim.run()
-        orders.append(order)
-    assert orders[0] == orders[1]
-
-
-def test_calendar_scheduler_cancellation_and_periodics():
-    sim = Simulator(scheduler="calendar")
-    fired = []
-    cancelled = sim.schedule(25.0, lambda: fired.append("cancelled"))
-    cancelled.cancel()
-    handle = sim.call_every_fast(10.0, lambda: fired.append(sim.now))
-    sim.run_until(45.0)
-    handle.cancel()
-    sim.run_until(100.0)
-    assert fired == [10.0, 20.0, 30.0, 40.0]
-
-
-def test_calendar_scheduler_batched_ticks():
-    sim = Simulator(scheduler="calendar")
-    fired = []
-    sim.call_every_batched(10.0, lambda: fired.append(sim.now), batch=4)
-    sim.run_until(100.0)
-    assert fired == [10.0 * i for i in range(1, 11)]
-
-
 # -- event pooling (reschedule) ----------------------------------------------
 
 
@@ -417,12 +366,3 @@ def test_call_every_cancel_still_works_with_pooling():
     handle.cancel()
     sim.run_until(10.0)
     assert ticks == [1.0, 2.0, 3.0]
-
-
-def test_call_every_pooling_under_calendar_scheduler():
-    sim = Simulator(scheduler="calendar")
-    ticks = []
-    sim.call_every(2.0, lambda: ticks.append(sim.now))
-    sim.run_until(10.0)
-    assert ticks == [2.0, 4.0, 6.0, 8.0, 10.0]
-    assert sim.events_reused == 5

@@ -10,9 +10,14 @@ sw/hw tipping point on ``sweep-rack-kvs`` and ``sweep-rack-hetero``.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scenarios import build_sweep_spec, run_replicated, run_sweep
+from repro.scenarios import (
+    build_sweep_spec,
+    executor_stats,
+    run_replicated,
+    run_sweep,
+    shutdown_executor,
+)
 from repro.scenarios.sweep import (
-    ReplicationSpec,
     _bracket_first_win,
     _linear_fill,
     _with_seed,
@@ -185,10 +190,30 @@ def test_replicated_adaptive_rows_match_standalone_runs():
 
 
 def test_replication_spec_validates_search():
+    spec = build_sweep_spec("sweep-rack-kvs", hosts=(1,), rates_kpps=(8.0,))
     with pytest.raises(ConfigurationError, match="search"):
-        ReplicationSpec(search="bogus").validate()
+        run_replicated(spec, search="bogus")
     with pytest.raises(ConfigurationError, match="adaptive"):
-        ReplicationSpec(search="adaptive", fastpath=True).validate()
+        run_replicated(spec, search="adaptive", fastpath=True)
+
+
+def test_adaptive_probe_waves_through_the_pool_match_serial():
+    spec = build_sweep_spec(
+        "sweep-rack-kvs",
+        hosts=(1,),
+        rates_kpps=(8.0, 16.0, 24.0, 32.0),
+        duration_s=0.05,
+        keyspace=2_000,
+    )
+    serial = run_sweep(spec, search="adaptive")
+    dispatched = executor_stats()["tasks_dispatched"]
+    try:
+        pooled = run_sweep(spec, search="adaptive", workers=2)
+    finally:
+        shutdown_executor()
+    # the first probe wave holds several points, so it went to the pool
+    assert executor_stats()["tasks_dispatched"] > dispatched
+    assert pooled.render() == serial.render()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """The sweep executor internals: spec-materialization cache, persistent
-worker pool, chunked dispatch, and the fastpath eligibility precheck."""
+worker pool, chunked dispatch, failing grid points, and the fastpath
+eligibility precheck."""
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.scenarios import (
+    ScenarioSweepSpec,
+    SweepAxis,
     build_sweep_spec,
     clear_spec_cache,
     run_replicated,
@@ -129,6 +132,52 @@ def test_shutdown_executor_is_idempotent():
     _get_pool(2)
     shutdown_executor()
     shutdown_executor()
+
+
+# -- a failing grid point names itself --------------------------------------
+
+
+@pytest.fixture
+def faulty_sweep():
+    """A throwaway scenario whose factory raises at one grid point."""
+    from repro.scenarios.registry import _REGISTRY
+
+    rack_kvs = _REGISTRY["rack-kvs"]
+
+    def factory(n_hosts=1, **overrides):
+        if n_hosts == 2:
+            raise RuntimeError("no rack for this point")
+        return rack_kvs(n_hosts=n_hosts, **overrides)
+
+    _REGISTRY["executor-test-faulty"] = factory
+    try:
+        yield ScenarioSweepSpec(
+            name="faulty",
+            base="executor-test-faulty",
+            axes=(SweepAxis("n_hosts", (1, 2)),),
+            fixed=dict(
+                rate_per_host_kpps=8.0, duration_s=0.02, keyspace=2_000, seed=5
+            ),
+        )
+    finally:
+        del _REGISTRY["executor-test-faulty"]
+        shutdown_executor()
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_failing_grid_point_names_params_seed_and_spec_hash(
+    faulty_sweep, workers
+):
+    with pytest.raises(SimulationError) as info:
+        run_sweep(faulty_sweep, workers=workers)
+    message = str(info.value)
+    overrides = {**faulty_sweep.fixed_dict(), "n_hosts": 2}
+    assert "{'n_hosts': 2}" in message
+    assert "seed=5" in message
+    assert spec_hash("executor-test-faulty", overrides) in message
+    assert "RuntimeError: no rack for this point" in message
+    if workers is None:
+        assert isinstance(info.value.__cause__, RuntimeError)
 
 
 # -- the fastpath eligibility precheck (never-eligible sweeps refuse) -------
