@@ -35,17 +35,10 @@ class KvsClient(Node):
         rate_pps: float = 0.0,
         set_fraction: float = 0.0,
         rng=None,
-        arrival_batch: int = 0,
     ):
         super().__init__(sim, name)
         if not 0.0 <= set_fraction <= 1.0:
             raise ConfigurationError("set_fraction outside [0,1]")
-        if arrival_batch < 0:
-            raise ConfigurationError("arrival_batch must be >= 0")
-        #: 0 = the exact per-tick loop; N > 0 pre-schedules N arrivals per
-        #: refill (Simulator.call_every_batched) — faster, same statistics,
-        #: but not draw-for-draw identical, so strictly opt-in.
-        self.arrival_batch = arrival_batch
         self.server_name = server_name
         self.key_sampler = key_sampler
         self.value_sampler = value_sampler
@@ -78,20 +71,11 @@ class KvsClient(Node):
         if rate_pps > 0:
             interval = SEC / rate_pps
             jitter = 0.3 if self._rng is not None else 0.0
-            if self.arrival_batch:
-                self._send_timer = self.sim.call_every_batched(
-                    interval,
-                    self._send_one,
-                    jitter=jitter,
-                    rng=self._rng,
-                    batch=self.arrival_batch,
-                )
-            else:
-                # hot path: one tick per generated request — the Event-free
-                # periodic loop (identical tick times and RNG draw order)
-                self._send_timer = self.sim.call_every_fast(
-                    interval, self._send_one, jitter=jitter, rng=self._rng
-                )
+            # hot path: one tick per generated request — the Event-free
+            # periodic loop (identical tick times and RNG draw order)
+            self._send_timer = self.sim.call_every_fast(
+                interval, self._send_one, jitter=jitter, rng=self._rng
+            )
 
     @property
     def rate_pps(self) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .. import calibration as cal
 from ..apps.dns import DnsClient, EmuDns, SoftwareNsd, ZoneTable
@@ -356,46 +356,93 @@ class ScenarioResult:
 
 
 @dataclass
-class BuiltKvsHost:
-    """The wired stack behind one KVS host (construction handles).
+class BuiltHost:
+    """The wired stack behind one on-demand host — a KVS shard or an
+    anycast DNS replica (construction handles).
 
-    On a NIC-only host (``DeviceSpec(kind="none")``) there is no card, no
-    hardware pipeline and no classifier: ``card``/``lake``/``classifier``
-    are None and the software memcached handles every packet directly.
+    Both apps share one shape (§3–§4): ``software`` is the host's software
+    server (memcached / NSD) and ``hardware`` the pipeline on the
+    NIC-replacing card (LaKe / Emu DNS), with ``classifier`` steering the
+    app's traffic class between them under ``service``/``controller``.  On
+    a NIC-only host (``DeviceSpec(kind="none")``) there is no card, no
+    hardware pipeline and no classifier: ``card``/``hardware``/
+    ``classifier`` are None and the software server handles every packet
+    directly.  ``jobs`` holds the co-located CPU jobs (always empty on DNS
+    replicas, whose spec declares none).
     """
 
-    spec: KvsHostSpec
+    spec: Union[KvsHostSpec, DnsHostSpec]
     server: object
     card: Optional[object]
-    memcached: SoftwareMemcached
-    lake: Optional[LakeKvs]
+    software: Union[SoftwareMemcached, SoftwareNsd]
+    hardware: Optional[Union[LakeKvs, EmuDns]]
     classifier: Optional[PacketClassifier]
     service: OnDemandService
     controller: Optional[ShiftController]
-    client: KvsClient
+    client: Union[KvsClient, DnsClient]
     power_sampler: PeriodicSampler
     wall_sampler: PeriodicSampler
     jobs: List[ChainerMNWorkload]
     offered_pps: float
 
 
-@dataclass
-class BuiltDnsHost:
-    """The wired stack behind one anycast DNS replica (see
-    :class:`BuiltKvsHost` for the NIC-only shape)."""
+def _make_nsd(sim, server, records) -> SoftwareNsd:
+    zone = ZoneTable(name=f"{server.name}.zone")
+    zone.add_many(records)
+    return SoftwareNsd(sim, server, zone=zone)
 
-    spec: DnsHostSpec
-    server: object
-    card: Optional[object]
-    nsd: SoftwareNsd
-    emu: Optional[EmuDns]
-    classifier: Optional[PacketClassifier]
-    service: OnDemandService
-    controller: Optional[ShiftController]
-    client: DnsClient
-    power_sampler: PeriodicSampler
-    wall_sampler: PeriodicSampler
-    offered_pps: float
+
+def _make_emu(sim, card, server, nsd, rng, capacity_pps, records) -> EmuDns:
+    emu = EmuDns(
+        sim, card, server, fallback=nsd, rng=rng, capacity_pps=capacity_pps
+    )
+    # every anycast replica answers for the whole zone
+    emu.zone.add_many(records)
+    return emu
+
+
+@dataclass(frozen=True)
+class _HostApp:
+    """What an app plugs into the one on-demand host shape."""
+
+    #: calibration key of the device profiles and controller defaults
+    name: str
+    #: the class the host's classifier steers between software and card
+    traffic_class: TrafficClass
+    #: (sim, server, **app_args) -> software server
+    software: Callable
+    #: (sim, card, server, software, rng, capacity_pps, **app_args) ->
+    #: hardware pipeline, drawing from the ``<host>.<hardware_stream>`` RNG
+    hardware: Callable
+    hardware_stream: str
+    #: (sim, name, server_name=, rng=, **client_args) -> workload client
+    client: Callable
+    #: hardware pipeline -> (hw_hits, hw_miss_forwards)
+    hw_counts: Callable
+
+
+_KVS_APP = _HostApp(
+    name="kvs",
+    traffic_class=TrafficClass.MEMCACHED,
+    software=SoftwareMemcached,
+    hardware=LakeKvs,
+    hardware_stream="lake.latency",
+    client=KvsClient,
+    hw_counts=lambda lake: (
+        lake.l1.hits + (lake.l2.hits if lake.l2 is not None else 0),
+        lake.miss_forwards,
+    ),
+)
+
+_DNS_APP = _HostApp(
+    name="dns",
+    traffic_class=TrafficClass.DNS,
+    software=_make_nsd,
+    hardware=_make_emu,
+    hardware_stream="emu.jitter",
+    client=DnsClient,
+    hw_counts=lambda emu: (emu.served, emu.deep_query_fallbacks),
+)
 
 
 @dataclass
@@ -427,7 +474,12 @@ class BuiltPaxosGroup:
 
 
 class ScenarioRun:
-    """A materialized scenario: simulator, topology and all runtimes."""
+    """A materialized scenario: simulator, topology and all runtimes.
+
+    ``kvs_hosts`` and ``dns_hosts`` hold one :class:`BuiltHost` per
+    declared host, in spec order; the two lists keep the apps apart for
+    the per-app result tables, routers and the fabric controller.
+    """
 
     def __init__(
         self,
@@ -435,10 +487,10 @@ class ScenarioRun:
         sim: Simulator,
         topology: Topology,
         switch: Switch,
-        kvs_hosts: List[BuiltKvsHost],
+        kvs_hosts: List[BuiltHost],
         router: Optional[KeyShardRouter],
         paxos_groups: List[BuiltPaxosGroup],
-        dns_hosts: Optional[List[BuiltDnsHost]] = None,
+        dns_hosts: Optional[List[BuiltHost]] = None,
         dns_router: Optional[KeyShardRouter] = None,
         fabric: Optional[Fabric] = None,
         fabric_controller: Optional[FabricController] = None,
@@ -486,10 +538,12 @@ class ScenarioRun:
     def _collect(self, duration_us: float) -> ScenarioResult:
         bucket_us = msec(self.spec.sampling.bucket_ms)
         host_results = [
-            self._collect_host(host, duration_us) for host in self.kvs_hosts
+            self._collect_host(host, _KVS_APP, duration_us)
+            for host in self.kvs_hosts
         ]
         dns_results = [
-            self._collect_dns_host(host, duration_us) for host in self.dns_hosts
+            self._collect_host(host, _DNS_APP, duration_us)
+            for host in self.dns_hosts
         ]
         # Aggregates always use the scenario-level bucket so hosts with
         # per-host sampling overrides still sum onto aligned buckets.
@@ -584,7 +638,9 @@ class ScenarioRun:
                 )
         return attribute_power(*merge_power_claims(entries))
 
-    def _collect_host(self, host: BuiltKvsHost, duration_us: float) -> HostResult:
+    def _collect_host(
+        self, host: BuiltHost, app: _HostApp, duration_us: float
+    ) -> HostResult:
         bucket_us = msec(self._effective_sampling(host.spec).bucket_ms)
         client = host.client
         throughput = bucket_rate_series(
@@ -596,12 +652,9 @@ class ScenarioRun:
             duration_us,
         )
         power = _power_series(host.power_sampler, bucket_us, duration_us)
-        lake = host.lake
-        hw_hits = 0
-        hw_miss_forwards = 0
-        if lake is not None:
-            hw_hits = lake.l1.hits + (lake.l2.hits if lake.l2 is not None else 0)
-            hw_miss_forwards = lake.miss_forwards
+        hw_hits, hw_miss_forwards = (
+            app.hw_counts(host.hardware) if host.hardware is not None else (0, 0)
+        )
         return HostResult(
             name=host.spec.name,
             offered_pps=host.offered_pps,
@@ -612,36 +665,7 @@ class ScenarioRun:
             hw_hits=hw_hits,
             hw_miss_forwards=hw_miss_forwards,
             responses=client.responses,
-            app="kvs",
-            controller_kind=host.spec.controller.kind,
-            device_kind=host.spec.device.kind,
-        )
-
-    def _collect_dns_host(self, host: BuiltDnsHost, duration_us: float) -> HostResult:
-        bucket_us = msec(self._effective_sampling(host.spec).bucket_ms)
-        client = host.client
-        throughput = bucket_rate_series(
-            client.response_times_us, bucket_us, duration_us
-        )
-        latency = bucket_mean_series(
-            list(zip(client.latency_series.times, client.latency_series.values)),
-            bucket_us,
-            duration_us,
-        )
-        power = _power_series(host.power_sampler, bucket_us, duration_us)
-        return HostResult(
-            name=host.spec.name,
-            offered_pps=host.offered_pps,
-            shift_times_us=host.service.shift_times_us(),
-            throughput_series=throughput,
-            latency_series=latency,
-            power_series=power,
-            hw_hits=host.emu.served if host.emu is not None else 0,
-            hw_miss_forwards=(
-                host.emu.deep_query_fallbacks if host.emu is not None else 0
-            ),
-            responses=client.responses,
-            app="dns",
+            app=app.name,
             controller_kind=host.spec.controller.kind,
             device_kind=host.spec.device.kind,
         )
@@ -880,7 +904,7 @@ class ScenarioBuilder:
         #: one wall sampler per physical box, even when groups share it
         self._wall_sampler_cache: Dict[str, PeriodicSampler] = {}
 
-        kvs_hosts: List[BuiltKvsHost] = []
+        kvs_hosts: List[BuiltHost] = []
         router = None
         if spec.kvs_hosts:
             kvs_hosts, router = self._build_kvs_rack(sim, streams, topo, switch)
@@ -890,7 +914,7 @@ class ScenarioBuilder:
             for group in spec.paxos_groups
         ]
 
-        dns_hosts: List[BuiltDnsHost] = []
+        dns_hosts: List[BuiltHost] = []
         dns_router = None
         if spec.dns_hosts:
             dns_hosts, dns_router = self._build_dns_rack(sim, streams, topo, switch)
@@ -1004,7 +1028,7 @@ class ScenarioBuilder:
         return RouterFleet(tor_routers, spine_router)
 
     def _build_fabric_controller(
-        self, sim: Simulator, kvs_hosts: List[BuiltKvsHost], router
+        self, sim: Simulator, kvs_hosts: List[BuiltHost], router
     ) -> Optional[FabricController]:
         """Materialize the scenario-level §9.1 centralized controller."""
         ctl_spec = self.spec.fabric_controller
@@ -1061,11 +1085,10 @@ class ScenarioBuilder:
     def _build_controller(
         self,
         sim: Simulator,
-        app: str,
+        app: _HostApp,
         host_spec,
         server,
         classifier: Optional[PacketClassifier],
-        traffic_class: TrafficClass,
         service: OnDemandService,
         device: OffloadDevice,
     ) -> Optional[ShiftController]:
@@ -1078,7 +1101,7 @@ class ScenarioBuilder:
         params = host_spec.controller.as_dict()
         if kind == "none":
             return None
-        up_pps, down_pps = device.netctl_thresholds_pps(app)
+        up_pps, down_pps = device.netctl_thresholds_pps(app.name)
         if kind == "host":
             server.start_rapl(update_interval_us=msec(host_spec.rapl_interval_ms))
             defaults = {"rate_down_pps": down_pps}
@@ -1088,23 +1111,23 @@ class ScenarioBuilder:
                 service,
                 config=HostControllerConfig(**{**defaults, **params}),
                 classifier=classifier,
-                traffic_class=traffic_class,
+                traffic_class=app.traffic_class,
             )
         if kind == "network":
             # the NetFPGA's §4 crossover defaults live next to the
             # controller; other devices get their analytic crossover
             if device.kind == DEFAULT_DEVICE_KIND:
-                config = NETCTL_DEFAULT_CONFIGS[app]
+                config = NETCTL_DEFAULT_CONFIGS[app.name]
             else:
                 config = dataclasses.replace(
-                    NETCTL_DEFAULT_CONFIGS[app],
+                    NETCTL_DEFAULT_CONFIGS[app.name],
                     up_rate_pps=up_pps,
                     down_rate_pps=down_pps,
                 )
             if params:
                 config = dataclasses.replace(config, **params)
             return NetworkController(
-                sim, classifier, traffic_class, service, config
+                sim, classifier, app.traffic_class, service, config
             )
         if kind == "predictive":
             # the steady-state curves of both placements — on *this*
@@ -1112,12 +1135,12 @@ class ScenarioBuilder:
             # controller carries
             from ..steady.ondemand import make_ondemand_model
 
-            model = make_ondemand_model(app, device=device.kind)
+            model = make_ondemand_model(app.name, device=device.kind)
             standby_card_w = params.pop("standby_card_w", model.standby_card_w)
             return PredictiveController(
                 sim,
                 classifier,
-                traffic_class,
+                app.traffic_class,
                 service,
                 software_model=model.software,
                 hardware_model=model.hardware,
@@ -1134,7 +1157,7 @@ class ScenarioBuilder:
         streams: RngStreams,
         topo: Topology,
         switch: Switch,
-    ) -> Tuple[List[BuiltKvsHost], Optional[KeyShardRouter]]:
+    ) -> Tuple[List[BuiltHost], Optional[KeyShardRouter]]:
         spec = self.spec
         workload = spec.kvs_workload
         host_specs = [self._qualified(h) for h in spec.kvs_hosts]
@@ -1176,42 +1199,40 @@ class ScenarioBuilder:
             weights = [1.0]
             router = None
 
-        hosts: List[BuiltKvsHost] = []
+        hosts: List[BuiltHost] = []
         for index, host_spec in enumerate(host_specs):
             if sharded is not None:
-                stream = sharded.stream(shard_indices[index])
-                key_sampler, value_sampler = stream.key, stream.value
-                set_fraction = stream.set_fraction
-                preloader = stream.preload if workload.preload else None
+                source = sharded.stream(shard_indices[index])
                 server_name = RACK_KVS_SERVICE
                 rate_pps = total_rate_pps * weights[index]
             else:
-                etc = EtcWorkload(
+                source = EtcWorkload(
                     keyspace=workload.keyspace,
                     zipf_s=workload.zipf_s,
                     seed=spec.seed,
                 )
-                key_sampler, value_sampler = etc.key, etc.value
-                set_fraction = etc.set_fraction
-                preloader = (
-                    (lambda store_set: etc.preload(store_set, workload.keyspace))
-                    if workload.preload
-                    else None
-                )
                 server_name = host_spec.name
                 rate_pps = total_rate_pps
+            preload = (
+                (lambda sw, src=source: src.preload(sw.store.set, workload.keyspace))
+                if workload.preload
+                else None
+            )
             hosts.append(
-                self._build_kvs_host(
+                self._build_host(
                     sim,
                     streams,
                     topo,
+                    _KVS_APP,
                     host_spec,
                     server_name=server_name,
                     rate_pps=rate_pps,
-                    key_sampler=key_sampler,
-                    value_sampler=value_sampler,
-                    set_fraction=set_fraction,
-                    preloader=preloader,
+                    client_args=dict(
+                        key_sampler=source.key,
+                        value_sampler=source.value,
+                        set_fraction=source.set_fraction,
+                    ),
+                    preload=preload,
                 )
             )
         if sharded is not None:
@@ -1222,158 +1243,11 @@ class ScenarioBuilder:
             for host, s in zip(hosts, shard_indices):
                 target = host.spec.served_by
                 if target and target != host.spec.name and workload.preload:
-                    sharded.stream(s).preload(by_name[target].memcached.store.set)
+                    sharded.stream(s).preload(by_name[target].software.store.set)
         self._schedule_phases(
             sim, workload.phases, [host.client for host in hosts], weights
         )
         return hosts, router
-
-    def _build_kvs_host(
-        self,
-        sim: Simulator,
-        streams: RngStreams,
-        topo: Topology,
-        host_spec: KvsHostSpec,
-        server_name: str,
-        rate_pps: float,
-        key_sampler,
-        value_sampler,
-        set_fraction: float,
-        preloader,
-    ) -> BuiltKvsHost:
-        spec = self.spec
-        device = get_device(host_spec.device.kind)
-        if device.is_offload:
-            # -- server with the device's card replacing its NIC (§4.2)
-            server = make_i7_server(sim, name=host_spec.name, nic=None)
-            card = device.make_card("kvs", **host_spec.device.as_dict())
-            server.install_card(card.power_w)
-            memcached = SoftwareMemcached(sim, server)
-            lake = LakeKvs(
-                sim,
-                card,
-                server,
-                memcached,
-                rng=streams.get(f"{host_spec.name}.lake.latency"),
-                capacity_pps=device.capacity_pps("kvs"),
-            )
-            lake.disable(power_save=host_spec.power_save)
-
-            classifier = PacketClassifier(sim)
-            classifier.add_rule(
-                ClassifierRule(
-                    TrafficClass.MEMCACHED, hardware=lake.offer, host=memcached.offer
-                )
-            )
-            server.set_packet_handler(classifier.classify)
-        else:
-            # -- NIC-only host: the ordinary NIC stays in, the software
-            # memcached handles every packet, nothing can ever shift
-            server = make_i7_server(sim, name=host_spec.name)
-            card = None
-            memcached = SoftwareMemcached(sim, server)
-            lake = None
-            classifier = None
-            server.set_packet_handler(memcached.offer)
-        if preloader is not None:
-            preloader(memcached.store.set)
-        topo.add(server)
-        self._connect(topo, host_spec.name)
-
-        # -- the host's slice of the rack workload
-        client_name = host_spec.resolved_client_name()
-        client = KvsClient(
-            sim,
-            client_name,
-            server_name=server_name,
-            key_sampler=key_sampler,
-            value_sampler=value_sampler,
-            set_fraction=set_fraction,
-            rng=streams.get(f"{client_name}.arrivals"),
-        )
-        topo.add(client)
-        self._connect(topo, client_name)
-        client.set_rate(rate_pps)
-
-        # -- co-located CPU jobs (the Figure 6 trigger)
-        jobs = []
-        for job_spec in host_spec.colocated:
-            job = ChainerMNWorkload(
-                sim,
-                server,
-                cores=job_spec.cores,
-                utilization=job_spec.utilization,
-                app_name=job_spec.app_name,
-            )
-            job.schedule(sec(job_spec.start_s), sec(job_spec.stop_s))
-            jobs.append(job)
-
-        # -- on-demand service + the host's chosen controller kind (§9.1);
-        # a NIC-only host gets a hook-less service that never shifts.  The
-        # device's warm-up (FPGA reconfiguration, ASIC table loads) delays
-        # classifier activation; software keeps serving meanwhile.
-        service = OnDemandService(
-            sim,
-            host_spec.name,
-            classifier=classifier,
-            traffic_class=TrafficClass.MEMCACHED,
-            to_hardware=lake.enable if lake is not None else None,
-            to_software=(
-                (lambda lake=lake: lake.disable(power_save=host_spec.power_save))
-                if lake is not None
-                else None
-            ),
-            warmup_us=device.warmup_us,
-        )
-        controller = self._build_controller(
-            sim,
-            "kvs",
-            host_spec,
-            server,
-            classifier,
-            TrafficClass.MEMCACHED,
-            service,
-            device,
-        )
-        if host_spec.start_in_hardware:
-            # before instrumentation: the first sample must see the active
-            # card; a declared initial placement was warm before the
-            # experiment window opened, so it skips the warm-up
-            service.shift_to_hardware(
-                "spec: initial hardware placement", immediate=True
-            )
-
-        # -- instrumentation (the paper reads CPU power from RAPL; the wall
-        # sampler adds the card draw on the shared scenario cadence so the
-        # §9.4 power attribution sees what the SHW 3A meter would)
-        sampling = host_spec.sampling or spec.sampling
-        power_sampler = PeriodicSampler(
-            sim,
-            server.platform_power_w,
-            msec(sampling.power_interval_ms),
-            name=f"{host_spec.name}.rapl-power",
-        )
-        wall_sampler = PeriodicSampler(
-            sim,
-            server.wall_power_w,
-            msec(spec.sampling.power_interval_ms),
-            name=f"{host_spec.name}.wall-power",
-        )
-        return BuiltKvsHost(
-            spec=host_spec,
-            server=server,
-            card=card,
-            memcached=memcached,
-            lake=lake,
-            classifier=classifier,
-            service=service,
-            controller=controller,
-            client=client,
-            power_sampler=power_sampler,
-            wall_sampler=wall_sampler,
-            jobs=jobs,
-            offered_pps=rate_pps,
-        )
 
     # -- anycast DNS rack ----------------------------------------------------
 
@@ -1383,7 +1257,7 @@ class ScenarioBuilder:
         streams: RngStreams,
         topo: Topology,
         switch: Switch,
-    ) -> Tuple[List[BuiltDnsHost], Optional[KeyShardRouter]]:
+    ) -> Tuple[List[BuiltHost], Optional[KeyShardRouter]]:
         spec = self.spec
         workload = spec.dns_workload
         host_specs = [self._qualified(h) for h in spec.dns_hosts]
@@ -1413,7 +1287,7 @@ class ScenarioBuilder:
             records = None
             router = None
 
-        hosts: List[BuiltDnsHost] = []
+        hosts: List[BuiltHost] = []
         for index, host_spec in enumerate(host_specs):
             if sharded is not None:
                 name_sampler = sharded.stream(index).name
@@ -1432,15 +1306,16 @@ class ScenarioBuilder:
                 rate_pps = total_rate_pps
                 host_records = workload_obj.records()
             hosts.append(
-                self._build_dns_host(
+                self._build_host(
                     sim,
                     streams,
                     topo,
+                    _DNS_APP,
                     host_spec,
                     server_name=server_name,
                     rate_pps=rate_pps,
-                    name_sampler=name_sampler,
-                    records=host_records,
+                    client_args=dict(name_sampler=name_sampler),
+                    app_args=dict(records=host_records),
                 )
             )
         self._schedule_phases(
@@ -1448,90 +1323,131 @@ class ScenarioBuilder:
         )
         return hosts, router
 
-    def _build_dns_host(
+    # -- on-demand hosts ------------------------------------------------------
+
+    def _build_host(
         self,
         sim: Simulator,
         streams: RngStreams,
         topo: Topology,
-        host_spec: DnsHostSpec,
+        app: _HostApp,
+        host_spec,
         server_name: str,
         rate_pps: float,
-        name_sampler,
-        records,
-    ) -> BuiltDnsHost:
+        client_args: dict,
+        app_args: Optional[dict] = None,
+        preload: Optional[Callable] = None,
+    ) -> BuiltHost:
+        """Wire one on-demand host (§3–§4, §9.1): the software server, the
+        card running the app's pipeline in place of the NIC, the classifier
+        steering the app's traffic class between them, the host's workload
+        client (addressing ``server_name`` at ``rate_pps``), its co-located
+        jobs, and the controller shifting it.
+
+        ``app_args`` reach the app's software and hardware constructors,
+        ``client_args`` its client; ``preload(software)`` warms the software
+        server before it is wired in.  Event sequence numbers follow
+        construction order, so this order is part of every recorded output.
+        """
         spec = self.spec
+        app_args = app_args or {}
         device = get_device(host_spec.device.kind)
-        zone = ZoneTable(name=f"{host_spec.name}.zone")
-        zone.add_many(records)
         if device.is_offload:
-            # -- server with the device's DNS card doubling as its NIC (§3.3)
+            # -- server with the device's card replacing its NIC (§3.3, §4.2)
             server = make_i7_server(sim, name=host_spec.name, nic=None)
-            card = device.make_card("dns", **host_spec.device.as_dict())
+            card = device.make_card(app.name, **host_spec.device.as_dict())
             server.install_card(card.power_w)
-            nsd = SoftwareNsd(sim, server, zone=zone)
-            emu = EmuDns(
+        else:
+            # -- NIC-only host: the ordinary NIC stays in, the software
+            # server handles every packet, nothing can ever shift
+            server = make_i7_server(sim, name=host_spec.name)
+            card = None
+        software = app.software(sim, server, **app_args)
+        hardware = None
+        classifier = None
+        if card is not None:
+            hardware = app.hardware(
                 sim,
                 card,
                 server,
-                fallback=nsd,
-                rng=streams.get(f"{host_spec.name}.emu.jitter"),
-                capacity_pps=device.capacity_pps("dns"),
+                software,
+                rng=streams.get(f"{host_spec.name}.{app.hardware_stream}"),
+                capacity_pps=device.capacity_pps(app.name),
+                **app_args,
             )
-            # every anycast replica answers for the whole zone
-            emu.zone.add_many(records)
-            emu.disable(power_save=host_spec.power_save)
+            hardware.disable(power_save=host_spec.power_save)
 
             classifier = PacketClassifier(sim)
             classifier.add_rule(
-                ClassifierRule(TrafficClass.DNS, hardware=emu.offer, host=nsd.offer)
+                ClassifierRule(
+                    app.traffic_class, hardware=hardware.offer, host=software.offer
+                )
             )
             server.set_packet_handler(classifier.classify)
         else:
-            # -- NIC-only replica: NSD answers everything, forever
-            server = make_i7_server(sim, name=host_spec.name)
-            card = None
-            nsd = SoftwareNsd(sim, server, zone=zone)
-            emu = None
-            classifier = None
-            server.set_packet_handler(nsd.offer)
+            server.set_packet_handler(software.offer)
+        if preload is not None:
+            preload(software)
         topo.add(server)
         self._connect(topo, host_spec.name)
 
-        # -- the host's slice of the query stream
+        # -- the host's slice of the rack workload
         client_name = host_spec.resolved_client_name()
-        client = DnsClient(
+        client = app.client(
             sim,
             client_name,
             server_name=server_name,
-            name_sampler=name_sampler,
             rng=streams.get(f"{client_name}.arrivals"),
+            **client_args,
         )
         topo.add(client)
         self._connect(topo, client_name)
         client.set_rate(rate_pps)
 
-        # -- on-demand service + the host's chosen controller kind
+        # -- co-located CPU jobs (the Figure 6 trigger; DNS specs have none)
+        jobs = []
+        for job_spec in getattr(host_spec, "colocated", ()):
+            job = ChainerMNWorkload(
+                sim,
+                server,
+                cores=job_spec.cores,
+                utilization=job_spec.utilization,
+                app_name=job_spec.app_name,
+            )
+            job.schedule(sec(job_spec.start_s), sec(job_spec.stop_s))
+            jobs.append(job)
+
+        # -- on-demand service + the host's chosen controller kind (§9.1);
+        # a NIC-only host gets a hook-less service that never shifts.  The
+        # device's warm-up (FPGA reconfiguration, ASIC table loads) delays
+        # classifier activation; software keeps serving meanwhile.
         service = OnDemandService(
             sim,
             host_spec.name,
             classifier=classifier,
-            traffic_class=TrafficClass.DNS,
-            to_hardware=emu.enable if emu is not None else None,
+            traffic_class=app.traffic_class,
+            to_hardware=hardware.enable if hardware is not None else None,
             to_software=(
-                (lambda emu=emu: emu.disable(power_save=host_spec.power_save))
-                if emu is not None
+                (lambda hw=hardware: hw.disable(power_save=host_spec.power_save))
+                if hardware is not None
                 else None
             ),
             warmup_us=device.warmup_us,
         )
         controller = self._build_controller(
-            sim, "dns", host_spec, server, classifier, TrafficClass.DNS, service, device
+            sim, app, host_spec, server, classifier, service, device
         )
         if host_spec.start_in_hardware:
+            # before instrumentation: the first sample must see the active
+            # card; a declared initial placement was warm before the
+            # experiment window opened, so it skips the warm-up
             service.shift_to_hardware(
                 "spec: initial hardware placement", immediate=True
             )
 
+        # -- instrumentation (the paper reads CPU power from RAPL; the wall
+        # sampler adds the card draw on the shared scenario cadence so the
+        # §9.4 power attribution sees what the SHW 3A meter would)
         sampling = host_spec.sampling or spec.sampling
         power_sampler = PeriodicSampler(
             sim,
@@ -1545,18 +1461,19 @@ class ScenarioBuilder:
             msec(spec.sampling.power_interval_ms),
             name=f"{host_spec.name}.wall-power",
         )
-        return BuiltDnsHost(
+        return BuiltHost(
             spec=host_spec,
             server=server,
             card=card,
-            nsd=nsd,
-            emu=emu,
+            software=software,
+            hardware=hardware,
             classifier=classifier,
             service=service,
             controller=controller,
             client=client,
             power_sampler=power_sampler,
             wall_sampler=wall_sampler,
+            jobs=jobs,
             offered_pps=rate_pps,
         )
 

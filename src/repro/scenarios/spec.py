@@ -513,10 +513,19 @@ class OnDemandSweepSpec:
     peak_rate_kpps: float = 1000.0
 
 
-def _validate_host_device(host, app: str) -> None:
-    """The NIC-only rules: a host with no card can never leave software, so
-    a hardware pin or any shifting controller on it is a declaration error,
-    caught at ``validate()`` time like every other spec mistake."""
+def _validate_host(host, app: str) -> None:
+    """The checks every on-demand host (KVS or DNS) shares: its controller
+    and device, its RAPL interval, and the NIC-only rules — a host with no
+    card can never leave software, so a hardware pin or any shifting
+    controller on it is a declaration error, caught at ``validate()`` time
+    like every other spec mistake."""
+    host.controller.validate_for(app, host.name)
+    host.device.validate_for(app, host.name)
+    if not host.rapl_interval_ms > 0:  # NaN fails too
+        raise ConfigurationError(
+            f"{app} host {host.name!r}: rapl_interval_ms must be positive, "
+            f"got {host.rapl_interval_ms}"
+        )
     if host.device.is_offload:
         return
     if host.start_in_hardware:
@@ -661,9 +670,7 @@ class ScenarioSpec:
             _validate_phases(self.kvs_workload.phases, "KVS workload")
             self._validate_kvs_shards()
         for host in self.kvs_hosts:
-            host.controller.validate_for("kvs", host.name)
-            host.device.validate_for("kvs", host.name)
-            _validate_host_device(host, "kvs")
+            _validate_host(host, "kvs")
             for job in host.colocated:
                 if job.stop_s <= job.start_s:
                     raise ConfigurationError(
@@ -760,9 +767,7 @@ class ScenarioSpec:
                     f"DNS n_names must be >= 1 in {self.name!r}"
                 )
         for host in self.dns_hosts:
-            host.controller.validate_for("dns", host.name)
-            host.device.validate_for("dns", host.name)
-            _validate_host_device(host, "dns")
+            _validate_host(host, "dns")
 
     def _validate_paxos(self) -> None:
         group_names = [g.name for g in self.paxos_groups]

@@ -260,47 +260,14 @@ class ScenarioSweepResult:
         """One crossover search per setting of the non-ramp axes."""
         if self.tipping_rows is not None:
             return list(self.tipping_rows)
+        # scan in ramp order even when the axis was declared descending
+        # (ramp_groups falls back to declaration order for non-comparable
+        # axis values); ``points`` is index-aligned with the spec's grid
         axis = self.spec.resolved_tip_axis()
-        other_params = [a.param for a in self.spec.axes if a.param != axis]
-        groups: Dict[Tuple, List[SweepPointResult]] = {}
-        for pt in self.points:
-            key = tuple(pt.params[p] for p in other_params)
-            groups.setdefault(key, []).append(pt)
-        rows = []
-        for key, pts in groups.items():
-            # scan in ramp order even when the axis was declared descending
-            # (non-comparable axis values fall back to declaration order)
-            try:
-                pts = sorted(pts, key=lambda pt: pt.params[axis])
-            except TypeError:
-                pass
-            crossover = None
-            sw_opw = hw_opw = od_opw = None
-            monotone = True
-            seen_win = False
-            for pt in pts:
-                if pt.hardware_wins:
-                    if not seen_win:
-                        seen_win = True
-                        crossover = pt.params[axis]
-                        sw_opw = pt.software.ops_per_watt
-                        hw_opw = pt.hardware.ops_per_watt
-                        if pt.ondemand is not None:
-                            od_opw = pt.ondemand.ops_per_watt
-                elif seen_win:
-                    monotone = False
-            rows.append(
-                TippingPoint(
-                    fixed=dict(zip(other_params, key)),
-                    axis=axis,
-                    crossover=crossover,
-                    sw_ops_per_watt=sw_opw,
-                    hw_ops_per_watt=hw_opw,
-                    od_ops_per_watt=od_opw,
-                    monotone=monotone,
-                )
-            )
-        return rows
+        return [
+            _scan_tipping_group(fixed, axis, [self.points[i] for i in indices])
+            for fixed, indices in self.spec.ramp_groups()
+        ]
 
     # -- reporting -----------------------------------------------------------
 
@@ -981,8 +948,10 @@ def _scan_tipping_group(
     axis: str,
     pts: Sequence[SweepPointResult],
 ) -> TippingPoint:
-    """The exhaustive crossover scan over one fully-evaluated ramp group —
-    the same reduction :meth:`ScenarioSweepResult.tipping_points` applies."""
+    """The exhaustive crossover scan over one fully-evaluated ramp group
+    (ordered along the ramp axis) — the one reduction both
+    :meth:`ScenarioSweepResult.tipping_points` and the adaptive search
+    apply."""
     crossover = None
     sw_opw = hw_opw = od_opw = None
     monotone = True

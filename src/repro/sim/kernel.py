@@ -282,71 +282,6 @@ class Simulator:
         schedule_fast(interval, fire)
         return handle
 
-    def call_every_batched(
-        self,
-        interval: float,
-        callback: Callable[[], None],
-        jitter: float = 0.0,
-        rng=None,
-        batch: int = 64,
-    ) -> "FastPeriodicHandle":
-        """Batched arrival generation: pre-draw and pre-schedule ``batch``
-        ticks per refill instead of one reschedule per tick.
-
-        The inter-arrival samples for a whole block are drawn in one tight
-        loop (vectorized sampling per stream) and pushed as bare heap
-        tuples; a single refill entry rides after the block's last tick.
-        Statistically the tick process matches :meth:`call_every_fast`
-        (same jitter distribution, same mean rate), but it is **opt-in**
-        precisely because it is *not* draw-for-draw identical: a stream
-        draws its whole block up front, so draws interleave differently
-        with any other use of the same ``rng`` — recorded experiments that
-        promise byte-identical output must keep the unbatched loop.
-        Cancellation leaves the rest of the current block in the queue as
-        no-ops (up to ``batch`` dead entries).
-        """
-        if interval <= 0:
-            raise SimulationError(f"interval must be positive, got {interval}")
-        if batch < 1:
-            raise SimulationError(f"batch must be >= 1, got {batch}")
-        if jitter and rng is None:
-            raise SimulationError("jitter requires an rng")
-        handle = FastPeriodicHandle()
-
-        def tick() -> None:
-            if not handle.cancelled:
-                callback()
-
-        def refill() -> None:
-            if handle.cancelled:
-                return
-            seq = self._seq
-            entries = []
-            if jitter:
-                rand = rng.random
-                low = 1.0 - jitter
-                span = 2.0 * jitter
-                t = self._now
-                for _ in range(batch):
-                    t += interval * (low + span * rand())
-                    entries.append((t, next(seq), tick))
-            else:
-                now = self._now
-                for i in range(1, batch + 1):
-                    entries.append((now + interval * i, next(seq), tick))
-                t = entries[-1][0]
-            # the refill shares the last tick's time but a later seq, so it
-            # runs immediately after it and tops the queue back up
-            entries.append((t, next(seq), refill))
-            heap = self._heap
-            push = heapq.heappush
-            for entry in entries:
-                push(heap, entry)
-            self._live += len(entries)
-
-        refill()
-        return handle
-
     # -- running -------------------------------------------------------
 
     def step(self) -> bool:

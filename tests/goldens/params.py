@@ -5,7 +5,9 @@ The golden files in this directory were captured from the revision
 parallel sweep executor).  ``capture.py`` regenerates them; the
 determinism tests re-run the exact same reduced experiments and compare
 the rendered text byte-for-byte, proving the fast kernel preserves event
-ordering and RNG draw sequences.
+ordering and RNG draw sequences.  ``rack_mixed.txt`` was captured later,
+before the KVS and DNS host builders were merged into one, and freezes
+the DNS host path and the per-placement wall-power attribution.
 
 Keep the parameters here small: these runs execute inside tier-1 tests.
 """
@@ -38,16 +40,29 @@ SWEEP_HETERO_PARAMS = dict(
     keyspace=4_000,
 )
 
+RACK_MIXED_PARAMS = dict(
+    duration_s=1.6,
+    n_paxos_groups=1,
+    keyspace=4_000,
+    n_names=300,
+)
+
 GOLDENS = {
     "fig6_kvs_transition.txt": ("fig6", FIG6_PARAMS),
     "fig7_paxos_transition.txt": ("fig7", FIG7_PARAMS),
     "sweep_rack_kvs.txt": ("sweep-rack-kvs", SWEEP_KVS_PARAMS),
     "sweep_rack_hetero.txt": ("sweep-rack-hetero", SWEEP_HETERO_PARAMS),
+    "rack_mixed.txt": ("scenario", ("rack-mixed", RACK_MIXED_PARAMS)),
 }
 
 
-def generate(kind: str, params: dict) -> str:
-    """Render one golden experiment (used by capture.py and the tests)."""
+def generate(kind: str, params) -> str:
+    """Render one golden experiment (used by capture.py and the tests).
+
+    The ``scenario`` kind takes ``(name, overrides)`` and appends one
+    ``placement=repr(watts)`` line per sorted ``power_by_placement`` entry
+    to the render, freezing the wall-power attribution exactly.
+    """
     if kind == "fig6":
         from repro.experiments import run_figure6
 
@@ -56,6 +71,15 @@ def generate(kind: str, params: dict) -> str:
         from repro.experiments import run_figure7
 
         return run_figure7(**params).render()
+    if kind == "scenario":
+        from repro.scenarios import run_scenario
+
+        name, overrides = params
+        result = run_scenario(name, **overrides)
+        power = result.power_by_placement
+        return "\n".join(
+            [result.render(), *(f"{key}={power[key]!r}" for key in sorted(power))]
+        )
     from repro.scenarios import build_sweep_spec, run_sweep
 
     return run_sweep(build_sweep_spec(kind, **params)).render()

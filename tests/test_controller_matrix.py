@@ -7,6 +7,8 @@ predictive controllers must all be reachable from a spec and actually
 drive transitions — plus the validation error paths for the new specs.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -31,6 +33,7 @@ from repro.scenarios import (
     SamplingSpec,
     ScenarioBuilder,
     ScenarioSpec,
+    build_spec,
 )
 from repro.units import msec, sec
 
@@ -336,6 +339,23 @@ class TestSamplingValidation:
         )
         with pytest.raises(ConfigurationError, match="power_interval_ms"):
             spec.validate()
+
+    @pytest.mark.parametrize("app,host", [("kvs", "kvs0"), ("dns", "dns0")])
+    def test_nonpositive_rapl_interval_rejected_at_validate(self, app, host):
+        """A zero RAPL interval fails in validate() naming the host and the
+        field, instead of dying later inside build() with a bare kernel
+        error."""
+        spec = build_spec("rack-mixed")
+        field = f"{app}_hosts"
+        hosts = tuple(
+            dataclasses.replace(h, rapl_interval_ms=0.0) if h.name == host else h
+            for h in getattr(spec, field)
+        )
+        bad = dataclasses.replace(spec, **{field: hosts})
+        with pytest.raises(
+            ConfigurationError, match=f"{app} host '{host}': rapl_interval_ms"
+        ):
+            bad.validate()
 
 
 class TestCrossAppValidation:

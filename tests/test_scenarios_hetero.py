@@ -127,7 +127,7 @@ class TestNicOnlyHost:
         run = ScenarioBuilder(spec).build()
         host = run.kvs_hosts[0]
         assert host.card is None
-        assert host.lake is None
+        assert host.hardware is None
         assert host.classifier is None
         assert host.server.nic is not None  # the NIC stays in
         result = run.execute()
@@ -148,6 +148,34 @@ class TestNicOnlyHost:
         card_w = carded.kvs_hosts[0].wall_sampler.series.values[0]
         nic_w = nic_only.kvs_hosts[0].wall_sampler.series.values[0]
         assert nic_w < card_w
+
+    def test_nic_only_dns_replica_runs_beside_a_carded_one(self):
+        """A NIC-only anycast replica serves its qname shard in software
+        for the whole run while its NetFPGA neighbour keeps its card."""
+        spec = ScenarioSpec(
+            name="t",
+            duration_s=0.3,
+            dns_hosts=(
+                DnsHostSpec(name="d0", device=NO_DEVICE, controller=NO_CONTROLLER),
+                DnsHostSpec(name="d1"),
+            ),
+            dns_workload=DnsWorkloadSpec(n_names=50, rate_kpps=2.0),
+        )
+        run = ScenarioBuilder(spec).build()
+        nic_only, carded = run.dns_hosts
+        assert nic_only.hardware is None
+        assert carded.hardware is not None
+        result = run.execute()
+        d0 = result.host("d0")
+        assert d0.device_kind == "none"
+        assert d0.hw_hits == 0
+        assert d0.shift_times_us == []
+        routed = result.dns_routed_per_host
+        assert routed["d0"] > 0 and routed["d1"] > 0
+        assert nic_only.software.rx == routed["d0"]
+        assert result.attributed_power_w() == pytest.approx(
+            result.total_wall_power_w, abs=1e-6
+        )
 
 
 # ---------------------------------------------------------------------------

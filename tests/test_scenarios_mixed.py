@@ -113,14 +113,14 @@ class TestAnycastDns:
         # the per-shard client streams only generate names the qname hash
         # routes to their host, so nothing is cross-routed
         for index, host in enumerate(run.dns_hosts):
-            assert host.nsd.rx + host.emu.rx > 0
+            assert host.software.rx + host.hardware.rx > 0
         assert run.dns_router.keyless == 0
 
     def test_replicas_answer_authoritatively_for_the_whole_zone(self):
         run = ScenarioBuilder(_dns_rack_spec()).build()
         for host in run.dns_hosts:
-            assert len(host.nsd.zone) == 300
-            assert len(host.emu.zone) == 300
+            assert len(host.software.zone) == 300
+            assert len(host.hardware.zone) == 300
         result = run.execute()
         for host in result.dns_hosts:
             assert host.responses > 0

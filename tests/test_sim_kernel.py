@@ -251,56 +251,6 @@ def test_call_every_fast_validation():
         sim.call_every_fast(10.0, lambda: None, jitter=0.3)  # jitter needs rng
 
 
-# -- batched arrival generation ----------------------------------------------
-
-
-def test_call_every_batched_unjittered_ticks_are_exact():
-    sim = Simulator()
-    fired = []
-    sim.call_every_batched(10.0, lambda: fired.append(sim.now), batch=4)
-    sim.run_until(100.0)
-    # the refill entry chains blocks at the last tick's time, so the tick
-    # train continues seamlessly across block boundaries
-    assert fired == [10.0 * i for i in range(1, 11)]
-
-
-def test_call_every_batched_cancel_stops_ticks():
-    sim = Simulator()
-    fired = []
-    handle = sim.call_every_batched(10.0, lambda: fired.append(sim.now), batch=8)
-    sim.run_until(25.0)
-    handle.cancel()
-    sim.run_until(500.0)  # the rest of the block no-ops
-    assert fired == [10.0, 20.0]
-
-
-def test_call_every_batched_jittered_rate_and_gaps():
-    import random
-
-    sim = Simulator()
-    fired = []
-    sim.call_every_batched(
-        10.0, lambda: fired.append(sim.now), jitter=0.3,
-        rng=random.Random(9), batch=16,
-    )
-    sim.run_until(10_000.0)
-    # mean inter-arrival is the interval; ~1000 ticks over 10ms
-    assert abs(len(fired) - 1000) <= 60
-    gaps = [b - a for a, b in zip(fired, fired[1:])]
-    # every gap (including across refill boundaries) is interval*(1±jitter)
-    assert all(6.999 <= g <= 13.001 for g in gaps)
-
-
-def test_call_every_batched_validation():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.call_every_batched(0.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.call_every_batched(10.0, lambda: None, batch=0)
-    with pytest.raises(SimulationError):
-        sim.call_every_batched(10.0, lambda: None, jitter=0.3)  # needs rng
-
-
 # -- event pooling (reschedule) ----------------------------------------------
 
 
