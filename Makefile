@@ -3,10 +3,15 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-smoke sweep-smoke hetero-smoke fabric-smoke bench-perf bench-fabric-perf bench-grid-perf bench-replication bench examples perfbench-check
+.PHONY: test goldens-pure bench-smoke sweep-smoke hetero-smoke fabric-smoke bench-perf bench-fabric-perf bench-grid-perf bench-replication bench examples perfbench-check
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The golden byte-identity fixtures with numpy hidden: the numpy-free
+# fallback kernels must render every golden byte for byte.
+goldens-pure:
+	REPRO_PURE_PYTHON=1 $(PYTHON) -m pytest -q tests/test_perf_determinism.py
 
 # One fast benchmark per application (KVS / Paxos / DNS): the analytic
 # Figure 3 sweeps, which regenerate their panels in seconds.

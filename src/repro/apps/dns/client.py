@@ -55,8 +55,7 @@ class DnsClient(Node):
         if rate_pps > 0:
             interval = SEC / rate_pps
             jitter = 0.3 if self._rng is not None else 0.0
-            # hot path: Event-free periodic loop (same ticks, same draws)
-            self._send_timer = self.sim.call_every_fast(
+            self._send_timer = self.sim.call_every(
                 interval, self._send_one, jitter=jitter, rng=self._rng
             )
 

@@ -71,9 +71,7 @@ class KvsClient(Node):
         if rate_pps > 0:
             interval = SEC / rate_pps
             jitter = 0.3 if self._rng is not None else 0.0
-            # hot path: one tick per generated request — the Event-free
-            # periodic loop (identical tick times and RNG draw order)
-            self._send_timer = self.sim.call_every_fast(
+            self._send_timer = self.sim.call_every(
                 interval, self._send_one, jitter=jitter, rng=self._rng
             )
 

@@ -246,9 +246,7 @@ class LearnerGapScanner:
         self._sim = sim
         self._role = role
         self._timeout_us = timeout_us
-        self._timer = sim.call_every(
-            timeout_us / 2.0, self._scan, name="learner.gap-scan"
-        )
+        self._timer = sim.call_every(timeout_us / 2.0, self._scan)
 
     def _scan(self) -> None:
         state: LearnerState = self._role.state

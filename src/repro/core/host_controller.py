@@ -87,9 +87,7 @@ class HostController(ServiceShiftController):
 
         self.power_series = TimeSeries("hostctl.rapl-power")
         self.cpu_series = TimeSeries("hostctl.cpu")
-        self._timer = sim.call_every(
-            self.config.tick_us, self._tick, name="hostctl.tick"
-        )
+        self._timer = sim.call_every(self.config.tick_us, self._tick)
         # §9.1: the controller itself costs ~0.3% of a core (RAPL reads).
         server.cpu.set_load(
             "hostctl", cores=1.0, utilization=cal.HOSTCTL_CPU_OVERHEAD_FRACTION

@@ -85,7 +85,7 @@ class NetworkController(ServiceShiftController):
         self._last_count = classifier.counters[traffic_class]
         self._started_at = sim.now
         self.rate_series = TimeSeries("netctl.rate")
-        self._timer = sim.call_every(config.tick_us, self._tick, name="netctl.tick")
+        self._timer = sim.call_every(config.tick_us, self._tick)
 
     def _tick(self) -> None:
         now = self.sim.now

@@ -77,9 +77,7 @@ class PaxosShiftController(ShiftController):
         self._started_at = sim.now
         self._timer = None
         if automatic:
-            self._timer = sim.call_every(
-                self.config.tick_us, self._tick, name="paxosctl.tick"
-            )
+            self._timer = sim.call_every(self.config.tick_us, self._tick)
 
     def _read_counter(self) -> int:
         if self.logical_dst is not None:

@@ -83,9 +83,7 @@ class PredictiveController(ServiceShiftController):
         self._last_count = classifier.counters[traffic_class]
         self._started_at = sim.now
         self.prediction_series = TimeSeries("predictive.saving")
-        self._timer = sim.call_every(
-            self.config.tick_us, self._tick, name="predictive.tick"
-        )
+        self._timer = sim.call_every(self.config.tick_us, self._tick)
 
     # -- the model-predictive decision --------------------------------------
 

@@ -50,7 +50,7 @@ class RaplReader:
             d: probe() for d, probe in power_probes.items()
         }
         self._last_update_us = sim.now
-        self._handle = sim.call_every(update_interval_us, self._update, name="rapl")
+        self._handle = sim.call_every(update_interval_us, self._update)
 
     def _update(self) -> None:
         dt_s = to_seconds(self._sim.now - self._last_update_us)

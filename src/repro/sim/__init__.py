@@ -1,12 +1,11 @@
 """Discrete-event simulation kernel.
 
-The kernel is deliberately small: an event heap, a clock in microseconds,
-callback scheduling, and optional generator-based processes.  Everything in
+The kernel is deliberately small: one event heap, a clock in microseconds,
+one-shot and periodic callback scheduling, and one run loop.  Everything in
 the network/host/hardware substrates builds on :class:`Simulator`.
 """
 
 from .kernel import Event, Simulator
-from .process import Process
 from .queues import FifoQueue, QueueStats
 from .recorder import (
     LatencyRecorder,
@@ -22,7 +21,6 @@ from .rng import RngStreams
 __all__ = [
     "Event",
     "Simulator",
-    "Process",
     "FifoQueue",
     "QueueStats",
     "LatencyRecorder",

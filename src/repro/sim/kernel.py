@@ -1,25 +1,27 @@
 """Event-driven simulator core.
 
-Time is a float in **microseconds** (see :mod:`repro.units`).  Events are
-callbacks ordered by (time, sequence), so same-time events run in the order
-they were scheduled — a property several protocol tests rely on.
+Time is a float in **microseconds** (see :mod:`repro.units`).  Callbacks are
+ordered by (time, sequence), so same-time callbacks run in the order they
+were scheduled — a property several protocol tests rely on.
 
-Two scheduling tiers share one binary heap and one total order:
+One binary heap holds two kinds of entry under one total order:
 
-* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
-  cancellable, named :class:`Event` — the observable API.
-* :meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_call` are the
-  hot-path tier used by links, services and load generators: no Event
-  object, no name string, no cancellation — just ``(time, seq, fn)`` (or
-  ``(time, seq, fn, arg)``) tuples on the heap, compared at C speed.  The
-  sequence numbers come from the same counter, so fast and slow entries
-  interleave in exactly the order they were scheduled.
+* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` push
+  ``(time, seq, event)`` and return the cancellable, named :class:`Event`.
+* :meth:`Simulator.schedule_call` pushes ``(time, seq, fn, arg)`` and runs
+  ``fn(arg)``: no Event object, no name, no cancellation.  Links, services,
+  load generators and every :meth:`Simulator.call_every` loop use it.
+
+Both draw ``seq`` from one counter, so the two kinds interleave in exactly
+the order they were scheduled, and tuple comparison never reaches the
+payload.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable, List, Optional
 
 from ..errors import SimulationError
@@ -40,7 +42,7 @@ class Event:
         seq: int,
         callback: Callable[[], None],
         name: str,
-        sim: Optional["Simulator"] = None,
+        sim: "Simulator",
     ):
         self.time = time
         self.seq = seq
@@ -56,11 +58,7 @@ class Event:
         if self.cancelled or self._done:
             return
         self.cancelled = True
-        if self._sim is not None:
-            self._sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        self._sim._live -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -79,18 +77,13 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        #: heap entries are (time, seq, payload[, arg]) tuples; payload is
-        #: an Event (cancellable tier) or a bare callable (fast tier).  seq
-        #: is unique, so tuple comparison never reaches the payload.
+        #: heap entries are (time, seq, event) or (time, seq, fn, arg)
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._running = False
-        self._stopped = False
         self._executed = 0
-        #: Event objects re-armed via :meth:`reschedule` (pool hit count).
-        self._reused = 0
-        #: live (scheduled, not yet executed, not cancelled) event count;
-        #: kept in sync by schedule/cancel/step so :attr:`pending` is O(1).
+        #: live (scheduled, not yet executed, not cancelled) entry count;
+        #: kept in sync by schedule/cancel/run so :attr:`pending` is O(1).
         self._live = 0
 
     # -- clock ---------------------------------------------------------
@@ -106,23 +99,14 @@ class Simulator:
         return self._executed
 
     @property
-    def events_reused(self) -> int:
-        """Number of pooled Event re-arms (observability/testing)."""
-        return self._reused
-
-    @property
     def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued.
+        """Number of not-yet-cancelled entries still queued.
 
-        O(1): a live-event counter is maintained by ``schedule``/``cancel``
-        and decremented as events execute, so the heap (which may still hold
-        lazily-cancelled entries) is never scanned.
+        O(1): a live-entry counter is maintained by the schedule calls and
+        :meth:`Event.cancel` and decremented as entries execute, so the heap
+        (which may still hold lazily-cancelled events) is never scanned.
         """
         return self._live
-
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` exactly once per cancellation."""
-        self._live -= 1
 
     # -- scheduling ----------------------------------------------------
 
@@ -132,11 +116,7 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        event = Event(time, next(self._seq), callback, name, sim=self)
-        heapq.heappush(self._heap, (time, event.seq, event))
-        self._live += 1
-        return event
+        return self.schedule_at(self._now + delay, callback, name)
 
     def schedule_at(
         self, time: float, callback: Callable[[], None], name: str = "event"
@@ -146,30 +126,17 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        event = Event(time, next(self._seq), callback, name, sim=self)
+        event = Event(time, next(self._seq), callback, name, self)
         heapq.heappush(self._heap, (time, event.seq, event))
         self._live += 1
         return event
 
-    def schedule_fast(self, delay: float, callback: Callable[[], None]) -> None:
-        """Hot-path scheduling: no Event object, no name, not cancellable.
-
-        Orders identically to :meth:`schedule` (same sequence counter);
-        use for high-volume machinery (packet deliveries, service
-        completions) where the Event API's observability costs real time.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(
-            self._heap, (self._now + delay, next(self._seq), callback)
-        )
-        self._live += 1
-
     def schedule_call(self, delay: float, callback, arg) -> None:
-        """Like :meth:`schedule_fast` but invokes ``callback(arg)``.
+        """Hot-path scheduling: run ``callback(arg)`` ``delay``
+        microseconds from now.  No Event object, not cancellable.
 
-        Saves the per-call closure/partial allocation of binding ``arg``:
-        the argument rides in the heap entry itself.
+        Orders identically to :meth:`schedule` (same sequence counter); the
+        argument rides in the heap entry itself, saving a closure per call.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -178,58 +145,31 @@ class Simulator:
         )
         self._live += 1
 
-    def reschedule(self, event: Event, delay: float) -> Event:
-        """Re-arm an **executed** :class:`Event` ``delay`` microseconds from
-        now, reusing the object instead of allocating a fresh one.
-
-        This is the event-object pool for the cancellable tier: a periodic
-        loop keeps one Event alive for its whole lifetime (see
-        :meth:`call_every`), so ``call_every``-heavy controller racks stop
-        churning allocations.  Only legal once the event has fired — its
-        queue entry has been popped, so re-pushing the same object cannot
-        leave a stale duplicate behind.  The event draws a fresh sequence
-        number from the shared counter, so ordering semantics are exactly
-        those of a newly-scheduled event.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if not event._done or event.cancelled:
-            raise SimulationError(
-                "reschedule requires an executed, uncancelled event"
-            )
-        event.time = self._now + delay
-        event.seq = next(self._seq)
-        event._done = False
-        heapq.heappush(self._heap, (event.time, event.seq, event))
-        self._live += 1
-        self._reused += 1
-        return event
-
     def call_every(
         self,
         interval: float,
         callback: Callable[[], None],
-        name: str = "periodic",
         jitter: float = 0.0,
         rng=None,
     ) -> "PeriodicHandle":
         """Run ``callback`` every ``interval`` microseconds until cancelled.
 
         ``jitter`` (a fraction of the interval) requires ``rng`` and spreads
-        firings uniformly in ``interval * (1 ± jitter)``.
-
-        The loop allocates **one** Event for its whole lifetime: each tick
-        re-arms it via :meth:`reschedule` (the entry just popped belongs to
-        the event now firing, so reuse is safe), keeping the handle fully
-        cancellable without a per-tick allocation.
+        firings uniformly in ``interval * (1 ± jitter)``.  The first firing
+        comes after an un-jittered ``interval``; each later delay is drawn
+        *after* ``callback()`` runs, so the loop's RNG draws interleave with
+        the callback's own in a fixed order (recorded experiments depend on
+        it).  Cancelling leaves the already-scheduled tick in the queue as a
+        no-op.
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive, got {interval}")
         if jitter and rng is None:
             raise SimulationError("jitter requires an rng")
         handle = PeriodicHandle()
+        schedule_call = self.schedule_call
 
-        def fire() -> None:
+        def fire(_) -> None:
             if handle.cancelled:
                 return
             callback()
@@ -238,77 +178,12 @@ class Simulator:
             delay = interval
             if jitter:
                 delay *= 1.0 + rng.uniform(-jitter, jitter)
-            handle.event = self.reschedule(handle.event, delay)
+            schedule_call(delay, fire, None)
 
-        handle.event = self.schedule(interval, fire, name)
-        return handle
-
-    def call_every_fast(
-        self,
-        interval: float,
-        callback: Callable[[], None],
-        jitter: float = 0.0,
-        rng=None,
-    ) -> "FastPeriodicHandle":
-        """:meth:`call_every` without the per-tick Event allocation.
-
-        Semantics are tick-for-tick identical — first firing after an
-        un-jittered ``interval``, then ``callback()`` *before* the jitter
-        draw, so RNG draw order matches ``call_every`` exactly (the
-        byte-identity of recorded experiments depends on this).  The only
-        difference: cancellation leaves the already-scheduled next tick in
-        the queue as a no-op instead of cancelling it.  Use for high-rate
-        loops (open-loop load generators); keep ``call_every`` where the
-        handle's pending event must be observable/cancellable.
-        """
-        if interval <= 0:
-            raise SimulationError(f"interval must be positive, got {interval}")
-        if jitter and rng is None:
-            raise SimulationError("jitter requires an rng")
-        handle = FastPeriodicHandle()
-        schedule_fast = self.schedule_fast
-
-        def fire() -> None:
-            if handle.cancelled:
-                return
-            callback()
-            if handle.cancelled:  # callback may cancel the loop
-                return
-            delay = interval
-            if jitter:
-                delay *= 1.0 + rng.uniform(-jitter, jitter)
-            schedule_fast(delay, fire)
-
-        schedule_fast(interval, fire)
+        schedule_call(interval, fire, None)
         return handle
 
     # -- running -------------------------------------------------------
-
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False if none remain."""
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            payload = entry[2]
-            if payload.__class__ is Event:
-                if payload.cancelled:
-                    continue
-                payload._done = True
-                callback = payload.callback
-            else:
-                callback = payload
-            time = entry[0]
-            if time < self._now:
-                raise SimulationError("event heap corrupted: time went backwards")
-            self._now = time
-            self._executed += 1
-            self._live -= 1
-            if len(entry) == 4:
-                callback(entry[3])
-            else:
-                callback()
-            return True
-        return False
 
     def run_until(self, time: float, max_events: Optional[int] = None) -> None:
         """Run events until the clock reaches ``time`` (inclusive of events
@@ -321,85 +196,59 @@ class Simulator:
         accounted when :meth:`Event.cancel` ran).  Exceeding the budget
         raises :class:`SimulationError` without executing further events.
         """
-        if self._running:
-            raise SimulationError("run_until is not re-entrant")
         if time < self._now:
             raise SimulationError(f"cannot run backwards to t={time}")
-        self._running = True
-        try:
-            self._run_heap_until(time, max_events)
-            self._now = max(self._now, time)
-        finally:
-            self._running = False
+        self._run_heap_until(time, max_events)
+        self._now = max(self._now, time)
+
+    def run(self, max_events: int = 10_000_000) -> None:
+        """Run until the event heap is empty, executing at most
+        ``max_events`` callbacks; the clock stays at the last event."""
+        self._run_heap_until(math.inf, max_events)
 
     def _run_heap_until(self, time: float, max_events: Optional[int]) -> None:
-        """The inlined hot loop: local aliases, tuple entries, no step()
-        call overhead.  Semantics match the documented run_until contract."""
+        """The one hot loop: local aliases, tuple entries, the budget
+        charged per executed callback (see :meth:`run_until`)."""
+        if self._running:
+            raise SimulationError("the event loop is not re-entrant")
+        self._running = True
         heap = self._heap
         pop = heapq.heappop
         budget = max_events
         event_class = Event
-        while heap:
-            entry = heap[0]
-            entry_time = entry[0]
-            payload = entry[2]
-            if payload.__class__ is event_class and payload.cancelled:
-                # Purge without charging the budget: only executed
-                # callbacks count against max_events.
-                pop(heap)
-                continue
-            if entry_time > time:
-                break
-            if budget is not None:
-                if budget <= 0:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} before t={time}"
-                    )
-                budget -= 1
-            pop(heap)
-            self._now = entry_time
-            self._executed += 1
-            self._live -= 1
-            if payload.__class__ is event_class:
-                payload._done = True
-                payload.callback()
-            elif len(entry) == 4:
-                payload(entry[3])
-            else:
-                payload()
-
-    def run(self, max_events: int = 10_000_000) -> None:
-        """Run until the event heap is empty (bounded by ``max_events``)."""
-        if self._running:
-            raise SimulationError("run is not re-entrant")
-        self._running = True
         try:
-            for _ in range(max_events):
-                if not self.step():
-                    return
-            raise SimulationError(f"exceeded max_events={max_events}")
+            while heap:
+                entry = heap[0]
+                entry_time = entry[0]
+                payload = entry[2]
+                if payload.__class__ is event_class and payload.cancelled:
+                    # Purge without charging the budget: only executed
+                    # callbacks count against max_events.
+                    pop(heap)
+                    continue
+                if entry_time > time:
+                    break
+                if budget is not None:
+                    if budget <= 0:
+                        raise SimulationError(
+                            f"exceeded max_events={max_events} before t={time}"
+                        )
+                    budget -= 1
+                pop(heap)
+                self._now = entry_time
+                self._executed += 1
+                self._live -= 1
+                if payload.__class__ is event_class:
+                    payload._done = True
+                    payload.callback()
+                else:
+                    payload(entry[3])
         finally:
             self._running = False
 
 
 class PeriodicHandle:
     """Handle returned by :meth:`Simulator.call_every`."""
-
-    __slots__ = ("event", "cancelled")
-
-    def __init__(self) -> None:
-        self.event: Optional[Event] = None
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Stop the periodic callback."""
-        self.cancelled = True
-        if self.event is not None:
-            self.event.cancel()
-
-
-class FastPeriodicHandle:
-    """Handle returned by :meth:`Simulator.call_every_fast`."""
 
     __slots__ = ("cancelled",)
 

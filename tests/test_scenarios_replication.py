@@ -84,6 +84,17 @@ def test_replicate_stats_known_interval():
     assert st.values == (9.0, 11.0)
 
 
+@pytest.mark.parametrize("n, t", [(11, 2.228), (30, 2.045), (61, 2.000)])
+def test_replicate_stats_t_value_beyond_ten_seeds(n, t):
+    # alternating +-1 around 5: sample sd is known exactly, so ci95 / se
+    # recovers the t critical value the interval used
+    values = [5.0 + (1.0 if i % 2 else -1.0) for i in range(n)]
+    st = replicate_stats(values)
+    var = sum((v - st.mean) ** 2 for v in values) / (n - 1)
+    implied_t = st.ci95 / math.sqrt(var / n)
+    assert implied_t == pytest.approx(t, abs=0.002)
+
+
 def test_replicate_stats_empty_rejected():
     with pytest.raises(ConfigurationError):
         replicate_stats([])

@@ -100,6 +100,9 @@ def test_call_every_callback_can_cancel():
     handle = sim.call_every(10.0, lambda: (fired.append(sim.now), handle.cancel()))
     sim.run_until(100.0)
     assert fired == [10.0]
+    # cancelled inside its own callback: no tick was re-armed
+    assert sim.pending == 0
+    assert sim.events_executed == 1
 
 
 def test_call_every_rejects_bad_interval():
@@ -191,128 +194,111 @@ def test_clock_advances_to_run_until_time_with_empty_heap():
     assert sim.now == 123.0
 
 
-# -- the fast scheduling tier ------------------------------------------------
+# -- the schedule_call tier and the one periodic loop ------------------------
 
 
 def test_fast_tier_interleaves_with_events_in_schedule_order():
     sim = Simulator()
     order = []
     sim.schedule(10.0, lambda: order.append("event"))
-    sim.schedule_fast(10.0, lambda: order.append("fast"))
     sim.schedule_call(10.0, order.append, "call")
+    sim.schedule(10.0, lambda: order.append("event2"))
     sim.run()
-    assert order == ["event", "fast", "call"]
+    assert order == ["event", "call", "event2"]
 
 
 def test_fast_tier_rejects_negative_delay():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.schedule_fast(-1.0, lambda: None)
-    with pytest.raises(SimulationError):
         sim.schedule_call(-1.0, print, None)
 
 
-def test_call_every_fast_ticks_match_call_every():
-    """Tick times and RNG draw order are identical to call_every — the
-    property the byte-identical goldens depend on."""
+def test_call_every_draws_jitter_after_each_callback():
+    """The first tick comes after an un-jittered interval; each later
+    delay is drawn from the rng after the callback has run — the draw
+    order the byte-identical goldens depend on."""
     import random
 
-    slow_ticks, fast_ticks = [], []
-    sim1 = Simulator()
-    sim1.call_every(
-        10.0, lambda: slow_ticks.append(sim1.now), jitter=0.3,
-        rng=random.Random(5),
-    )
-    sim1.run_until(500.0)
-    sim2 = Simulator()
-    sim2.call_every_fast(
-        10.0, lambda: fast_ticks.append(sim2.now), jitter=0.3,
-        rng=random.Random(5),
-    )
-    sim2.run_until(500.0)
-    assert fast_ticks == slow_ticks
+    rng = random.Random(5)
+    ticks, states = [], []
+
+    def tick():
+        ticks.append(sim.now)
+        states.append(rng.getstate())  # no loop draw yet for this tick
+
+    sim = Simulator()
+    sim.call_every(10.0, tick, jitter=0.3, rng=rng)
+    sim.run_until(500.0)
+
+    twin = random.Random(5)
+    expected, expected_states, t = [], [], 10.0
+    while t <= 500.0:
+        expected.append(t)
+        expected_states.append(twin.getstate())
+        t += 10.0 * (1.0 + twin.uniform(-0.3, 0.3))
+    assert ticks == expected
+    assert states == expected_states
 
 
-def test_call_every_fast_cancel_stops_ticks():
+def test_call_every_cancel_stops_ticks():
     sim = Simulator()
     fired = []
-    handle = sim.call_every_fast(10.0, lambda: fired.append(sim.now))
+    handle = sim.call_every(10.0, lambda: fired.append(sim.now))
     sim.run_until(35.0)
     handle.cancel()
     sim.run_until(200.0)
     assert fired == [10.0, 20.0, 30.0]
 
 
-def test_call_every_fast_validation():
+def test_call_every_cancel_leaves_one_noop_tick():
+    """Cancelling from outside the loop's own callback — between runs or
+    from another event — leaves the queued tick as a no-op: the callback
+    never runs again, ``pending`` counts the tick until it fires, then 0."""
+    for from_event in (False, True):
+        sim = Simulator()
+        fired = []
+        handle = sim.call_every(10.0, lambda: fired.append(sim.now))
+        if from_event:
+            sim.schedule(35.0, handle.cancel)
+        sim.run_until(35.0)
+        if not from_event:
+            handle.cancel()
+        assert sim.pending == 1  # the t=40 tick
+        executed = sim.events_executed
+        sim.run_until(39.0)
+        assert sim.pending == 1
+        sim.run_until(200.0)
+        assert fired == [10.0, 20.0, 30.0]
+        assert sim.events_executed == executed + 1
+        assert sim.pending == 0
+
+
+def test_call_every_validation():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.call_every_fast(0.0, lambda: None)
+        sim.call_every(0.0, lambda: None)
     with pytest.raises(SimulationError):
-        sim.call_every_fast(10.0, lambda: None, jitter=0.3)  # jitter needs rng
+        sim.call_every(10.0, lambda: None, jitter=0.3)  # jitter needs rng
 
 
-# -- event pooling (reschedule) ----------------------------------------------
+# -- run(max_events) ----------------------------------------------------------
 
 
-def test_reschedule_reuses_the_same_event_object():
+def test_run_executes_exactly_max_events():
     sim = Simulator()
     fired = []
-    ev = sim.schedule(1.0, lambda: fired.append(sim.now))
-    sim.run_until(1.0)
-    again = sim.reschedule(ev, 2.0)
-    assert again is ev
-    assert ev.time == 3.0
-    sim.run_until(5.0)
-    assert fired == [1.0, 3.0]
-    assert sim.events_reused == 1
+    for i in range(3):
+        sim.schedule(float(i + 1), lambda i=i: fired.append(i))
+    sim.run(max_events=3)
+    assert fired == [0, 1, 2]
+    assert sim.now == 3.0  # run() leaves the clock at the last event
 
 
-def test_reschedule_orders_like_a_fresh_schedule():
-    """A reused event takes a fresh seq, so same-time FIFO order is the
-    schedule-call order, exactly as if a new Event had been allocated."""
+def test_run_raises_one_past_max_events():
     sim = Simulator()
     fired = []
-    ev = sim.schedule(1.0, lambda: fired.append("pooled"))
-    sim.run_until(1.0)
-    sim.reschedule(ev, 1.0)  # fires at t=2.0 ...
-    sim.schedule(1.0, lambda: fired.append("fresh"))  # ... ties at t=2.0
-    sim.run_until(2.0)
-    assert fired == ["pooled", "pooled", "fresh"]
-
-
-def test_reschedule_rejects_pending_and_cancelled_events():
-    sim = Simulator()
-    pending = sim.schedule(1.0, lambda: None)
+    for i in range(4):
+        sim.schedule(float(i + 1), lambda i=i: fired.append(i))
     with pytest.raises(SimulationError):
-        sim.reschedule(pending, 1.0)  # still queued: would duplicate it
-    pending.cancel()
-    sim.run_until(1.0)
-    with pytest.raises(SimulationError):
-        sim.reschedule(pending, 1.0)  # cancelled: never executed
-    fired = sim.schedule(1.5, lambda: None)
-    sim.run_until(2.0)
-    with pytest.raises(SimulationError):
-        sim.reschedule(fired, -0.5)
-
-
-def test_call_every_reuses_one_event_per_loop():
-    sim = Simulator()
-    ticks = []
-    handle = sim.call_every(1.0, lambda: ticks.append(sim.now))
-    first_event = handle.event
-    sim.run_until(10.0)
-    assert ticks == [float(i) for i in range(1, 11)]
-    assert handle.event is first_event
-    # every firing re-arms the same object (incl. the last, which
-    # leaves it queued for t=11): 10 firings, 1 allocation
-    assert sim.events_reused == 10
-
-
-def test_call_every_cancel_still_works_with_pooling():
-    sim = Simulator()
-    ticks = []
-    handle = sim.call_every(1.0, lambda: ticks.append(sim.now))
-    sim.run_until(3.0)
-    handle.cancel()
-    sim.run_until(10.0)
-    assert ticks == [1.0, 2.0, 3.0]
+        sim.run(max_events=3)
+    assert fired == [0, 1, 2]
