@@ -62,7 +62,7 @@ bench-fabric-perf:
 # The grid/adaptive criteria (ISSUE 10): the adaptive crossover search
 # must be >=5x faster wall-clock than the exhaustive DES sweep on the
 # reduced sweep-fabric-scale grid while reporting identical tipping rows
-# from <=25% of the DES replays, plus the vectorized steady-grid kernel's
+# from <=25% of the DES replays, plus the analytic steady grid's
 # points/sec regression gate.  Artifact: benchmarks/results/grid_adaptive.txt.
 bench-grid-perf:
 	$(PYTHON) -m pytest -q benchmarks/bench_grid_perf.py

@@ -26,10 +26,11 @@ from ..hw.smartnic import SMARTNIC_ARCHETYPES
 from ..apps.kvs.lake import sample_latency
 from ..sim import Simulator, percentile
 from ..steady import dns_models, find_crossover, kvs_models, paxos_models
+from ..steady.ondemand import ondemand_models
 from ..steady.paxos import PaxosRole
 from ..units import kpps, mpps
 from .reporting import format_table
-from .sweep import SweepPoint, linspace_rates, sweep_models
+from .sweep import SweepPoint, linspace_rates, sweep_model, sweep_models
 
 # ---------------------------------------------------------------------------
 # Figure 3: power vs throughput for the three applications.
@@ -188,17 +189,20 @@ class Figure5Result:
 
 
 def figure5(steps: int = 25) -> Figure5Result:
-    """Figure 5: on-demand vs software-only power for the three apps.
-
-    The sweep itself is a declarative :class:`OnDemandSweepSpec` executed
-    by the scenario layer; this runner only shapes the result.
-    """
-    from ..scenarios import OnDemandSweepSpec, run_ondemand_sweep
-
-    sweep = run_ondemand_sweep(OnDemandSweepSpec(steps=steps))
-    return Figure5Result(
-        series=sweep.series, savings_at_peak=sweep.savings_at_peak
-    )
+    """Figure 5: on-demand vs software-only power for the three apps,
+    swept up to 1.2 Mpps; savings are read at 1 Mpps (or the software
+    capacity, if lower)."""
+    rates = linspace_rates(kpps(1200.0), steps)
+    series: Dict[str, List[SweepPoint]] = {}
+    savings: Dict[str, float] = {}
+    for app, model in ondemand_models().items():
+        series[f"{app} (On demand)"] = sweep_model(model, rates)
+        series[f"{app} (SW)"] = sweep_model(model.software, rates)
+        peak = min(kpps(1000.0), model.software.capacity_pps)
+        savings[app] = model.saving_vs_software_w(peak) / model.software.power_at(
+            peak
+        )
+    return Figure5Result(series=series, savings_at_peak=savings)
 
 
 # ---------------------------------------------------------------------------

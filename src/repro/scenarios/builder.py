@@ -77,7 +77,6 @@ from .spec import (
     RACK_KVS_SERVICE,
     DnsHostSpec,
     KvsHostSpec,
-    OnDemandSweepSpec,
     PaxosSpec,
     PhaseSchedule,
     SamplingSpec,
@@ -1165,28 +1164,17 @@ class ScenarioBuilder:
         total_rate_pps = kpps(workload.rate_kpps)
 
         if spec.sharded:
-            # A sub-rack (workload.n_shards > host count) keeps the *full*
-            # rack's shard space: each host samples, weighs and preloads
-            # its original shard, so per-host traffic is byte-identical to
-            # the complete scenario and absent shards simply offer nothing.
-            n_shards = workload.n_shards or n_hosts
-            shard_indices = [
-                h.shard_index if h.shard_index is not None else i
-                for i, h in enumerate(host_specs)
-            ]
+            # shard i is host i
             sharded = ShardedEtcWorkload(
                 keyspace=workload.keyspace,
-                n_shards=n_shards,
+                n_shards=n_hosts,
                 zipf_s=workload.zipf_s,
                 seed=spec.seed,
             )
-            all_weights = sharded.shard_weights()
-            weights = [all_weights[s] for s in shard_indices]
-            owners: List[Optional[str]] = [None] * n_shards
-            for host_spec, s in zip(host_specs, shard_indices):
-                # consolidated initial placement: another host starts as
-                # this shard's server (the donor still offers its traffic)
-                owners[s] = host_spec.served_by or host_spec.name
+            weights = sharded.shard_weights()
+            # consolidated initial placement: another host starts as a
+            # shard's server (the donor still offers its traffic)
+            owners = [h.served_by or h.name for h in host_specs]
             router = self._install_dispatch(
                 switch,
                 TrafficClass.MEMCACHED,
@@ -1195,14 +1183,13 @@ class ScenarioBuilder:
             )
         else:
             sharded = None
-            shard_indices = [0]
             weights = [1.0]
             router = None
 
         hosts: List[BuiltHost] = []
         for index, host_spec in enumerate(host_specs):
             if sharded is not None:
-                source = sharded.stream(shard_indices[index])
+                source = sharded.stream(index)
                 server_name = RACK_KVS_SERVICE
                 rate_pps = total_rate_pps * weights[index]
             else:
@@ -1240,7 +1227,7 @@ class ScenarioBuilder:
             # donated shard's keys (a fresh same-seed stream, so the
             # donor's own samplers are not perturbed)
             by_name = {host.spec.name: host for host in hosts}
-            for host, s in zip(hosts, shard_indices):
+            for s, host in enumerate(hosts):
                 target = host.spec.served_by
                 if target and target != host.spec.name and workload.preload:
                     sharded.stream(s).preload(by_name[target].software.store.set)
@@ -1685,37 +1672,3 @@ class ScenarioBuilder:
 def run_scenario_spec(spec: ScenarioSpec) -> ScenarioResult:
     """Convenience: validate, build, execute."""
     return ScenarioBuilder(spec).run()
-
-
-# ---------------------------------------------------------------------------
-# Analytic on-demand sweep (the Figure 5 path).
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class OnDemandSweepResult:
-    """Figure-5 series: per-app on-demand vs software-only power curves."""
-
-    series: Dict[str, list]
-    savings_at_peak: Dict[str, float]
-
-
-def run_ondemand_sweep(spec: OnDemandSweepSpec) -> OnDemandSweepResult:
-    """Execute the declarative Figure-5 sweep over the steady-state models."""
-    # Imported lazily: repro.experiments imports this package at module
-    # scope (transitions are scenario-backed), so the dependency must stay
-    # one-way at import time.
-    from ..experiments.sweep import linspace_rates, sweep_model
-    from ..steady.ondemand import ondemand_models
-
-    rates = linspace_rates(kpps(spec.max_rate_kpps), spec.steps)
-    series: Dict[str, list] = {}
-    savings: Dict[str, float] = {}
-    for app, model in ondemand_models().items():
-        series[f"{app} (On demand)"] = sweep_model(model, rates)
-        series[f"{app} (SW)"] = sweep_model(model.software, rates)
-        peak = min(kpps(spec.peak_rate_kpps), model.software.capacity_pps)
-        savings[app] = model.saving_vs_software_w(peak) / model.software.power_at(
-            peak
-        )
-    return OnDemandSweepResult(series=series, savings_at_peak=savings)

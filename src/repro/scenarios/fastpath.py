@@ -17,6 +17,14 @@ Eligibility (:func:`steady_eligible`) is deliberately narrow:
   fabric controller may steer them back mid-run), and no co-located jobs.
   (The sweep's software/hardware pins satisfy this by construction; the
   on-demand pin does not, and always runs DES.)
+* stock devices only: a host whose ``DeviceSpec`` sets ``params`` (PE
+  count, external memories, ...) builds a card the per-kind steady curves
+  do not describe.
+
+The steady formulas live once, in the :class:`repro.steady.SteadyModel`
+methods.  Each (device kind, power-save, pin) host model is built once and
+memoized, so answering a grid point is a handful of scalar calls per host;
+:func:`steady_grid` is the same per-spec evaluation over many specs.
 
 Multi-rack fabrics are eligible too: per-rack steady aggregates compose
 with the analytic uplink model of :mod:`repro.steady.fabric`.  Each
@@ -40,16 +48,14 @@ wrong sweep — is what fails.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .. import calibration as cal
 from ..errors import ConfigurationError
 from ..hw.device import get_device
 from ..naming import rack_qualified, split_rack
-from ..steady import grid as steady_grid_kernels
 from ..steady.fabric import FabricUplinkModel
 from ..steady.kvs import memcached_model
 from ..steady.ondemand import device_hardware_model
@@ -64,14 +70,29 @@ DEFAULT_REL_TOL = 0.15
 _FASTPATH_MODES = ("software", "hardware")
 
 
-def _rack_steady_shape(spec: ScenarioSpec) -> bool:
-    """Rack-level preconditions shared by full and per-host eligibility:
-    a pure KVS fleet offered a rate-constant (phase-free) workload, with
-    no fleet-level dynamics.  Single-ToR racks and multi-rack fabrics both
-    qualify (the fabric composes with the analytic uplink model of
-    :mod:`repro.steady.fabric`), but a live centralized fabric controller
-    or a ``served_by`` shard donation means serving assignments can move
-    mid-run — those always replay the DES."""
+def host_steady_eligible(host) -> bool:
+    """Can this one KVS host's run be answered analytically?  Nothing may
+    change during the run: no controller that could shift the placement,
+    no co-located job that could perturb its power draw.  And its card
+    must be the device kind's stock build: ``DeviceSpec.params`` change
+    what the DES card draws, which the per-kind steady curves ignore."""
+    return (
+        host.controller.kind == "none"
+        and not host.colocated
+        and not host.device.params
+    )
+
+
+def steady_eligible(spec: ScenarioSpec) -> bool:
+    """Can this scenario's pinned runs be answered analytically?
+
+    A pure KVS fleet offered a rate-constant (phase-free) workload, with
+    no fleet-level dynamics, and every host eligible.  Single-ToR racks
+    and multi-rack fabrics both qualify (the fabric composes with the
+    analytic uplink model of :mod:`repro.steady.fabric`), but a live
+    centralized fabric controller or a ``served_by`` shard donation means
+    serving assignments can move mid-run — those always replay the DES.
+    """
     if not spec.kvs_hosts or spec.paxos_groups or spec.dns_hosts:
         return False
     if spec.fabric_controller is not None:
@@ -79,77 +100,9 @@ def _rack_steady_shape(spec: ScenarioSpec) -> bool:
     if any(host.served_by is not None for host in spec.kvs_hosts):
         return False
     workload = spec.kvs_workload
-    return workload is not None and not workload.phases
-
-
-def host_steady_eligible(host) -> bool:
-    """Can this one KVS host's run be answered analytically?  Nothing may
-    change during the run: no controller that could shift the placement,
-    no co-located job that could perturb its power draw."""
-    return host.controller.kind == "none" and not host.colocated
-
-
-def steady_eligible(spec: ScenarioSpec) -> bool:
-    """Can this scenario's pinned runs be answered analytically?"""
-    return _rack_steady_shape(spec) and all(
-        host_steady_eligible(host) for host in spec.kvs_hosts
-    )
-
-
-def split_steady(
-    spec: ScenarioSpec,
-) -> Tuple[Tuple[int, ...], Optional[ScenarioSpec]]:
-    """Partition a scenario into analytically-answerable hosts and a
-    residual DES sub-rack (per-placement fast-path eligibility).
-
-    Returns ``(analytic_indices, residual)``:
-
-    * ``((), spec)`` — nothing eligible (wrong rack shape, or every host
-      can shift): run the full DES.
-    * ``(all indices, None)`` — fully eligible: pure analytics.
-    * ``(some indices, sub_rack)`` — the mixed case (``sweep-rack-hetero``
-      style racks): answer the pinned/NIC-only hosts from the steady
-      curves and DES-simulate only the shifting ones.  The residual spec
-      keeps the full rack's shard space (``n_shards``/``shard_index``), so
-      every surviving host samples, weighs, routes and preloads exactly as
-      it would in the complete rack — its DES series are byte-identical to
-      the full run's.
-    """
-    if not _rack_steady_shape(spec):
-        return (), spec
-    eligible = tuple(
-        i for i, host in enumerate(spec.kvs_hosts) if host_steady_eligible(host)
-    )
-    if not eligible:
-        return (), spec
-    if len(eligible) == len(spec.kvs_hosts):
-        return eligible, None
-    if spec.fabric is not None:
-        # no partial split on a fabric: eligible and residual hosts share
-        # the uplink FIFO queues, so dropping the analytic hosts from the
-        # residual DES would change the survivors' queueing delays — the
-        # residual would NOT be byte-identical to the full run.  Fabric
-        # fast-pathing is all-or-nothing.
-        return (), spec
-    n_shards = spec.kvs_workload.n_shards or len(spec.kvs_hosts)
-    analytic = set(eligible)
-    residual_hosts = tuple(
-        dataclasses.replace(
-            host,
-            shard_index=(
-                host.shard_index if host.shard_index is not None else i
-            ),
-        )
-        for i, host in enumerate(spec.kvs_hosts)
-        if i not in analytic
-    )
-    residual = dataclasses.replace(
-        spec,
-        name=f"{spec.name}[resid]",
-        kvs_hosts=residual_hosts,
-        kvs_workload=dataclasses.replace(spec.kvs_workload, n_shards=n_shards),
-    )
-    return eligible, residual
+    if workload is None or workload.phases:
+        return False
+    return all(host_steady_eligible(host) for host in spec.kvs_hosts)
 
 
 @dataclass
@@ -181,36 +134,17 @@ def _shard_weights(
 
 
 def _per_host_rates(spec: ScenarioSpec) -> List[float]:
-    """Offered pps per host: the sweep's Zipf shard-weight rate split.
-
-    Honors ``n_shards``/``shard_index`` sub-racks: each host is weighed by
-    its *own* shard of the full rack's shard space, so a residual sub-rack
-    sees the same per-host rates as the complete scenario.
-    """
+    """Offered pps per host: the sweep's Zipf shard-weight rate split
+    (shard i is host i)."""
     workload = spec.kvs_workload
     total_pps = workload.rate_kpps * 1e3
-    hosts = spec.kvs_hosts
-    n_shards = workload.n_shards or len(hosts)
-    if n_shards == 1:
+    n_hosts = len(spec.kvs_hosts)
+    if n_hosts == 1:
         return [total_pps]
     weights = _shard_weights(
-        workload.keyspace, n_shards, workload.zipf_s, spec.seed
+        workload.keyspace, n_hosts, workload.zipf_s, spec.seed
     )
-    return [
-        weights[host.shard_index if host.shard_index is not None else i]
-        * total_pps
-        for i, host in enumerate(hosts)
-    ]
-
-
-def _fabric_uplink_model(spec: ScenarioSpec) -> FabricUplinkModel:
-    """The declared fabric's analytic uplink parameters (shared by every
-    ToR↔spine direction: the spec declares one :class:`UplinkSpec`)."""
-    uplink = spec.fabric.uplink
-    return FabricUplinkModel(
-        latency_us=uplink.latency_us,
-        effective_bps=uplink.effective_bandwidth_bps(),
-    )
+    return [weight * total_pps for weight in weights]
 
 
 def _host_racks(spec: ScenarioSpec, host) -> Tuple[str, str]:
@@ -222,17 +156,18 @@ def _host_racks(spec: ScenarioSpec, host) -> Tuple[str, str]:
     return host_rack, client_rack or host_rack
 
 
-def _uplink_direction_loads(
+def _uplink_direction_terms(
     spec: ScenarioSpec, rates: Sequence[float]
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Offered pps on each uplink direction: ``(up[rack], down[rack])``.
+) -> Tuple[Dict[str, Tuple[float, float]], Dict[str, Tuple[float, float]]]:
+    """``(crossing_us, throughput_factor)`` of each uplink direction:
+    ``(up[rack], down[rack])``, each evaluated once at its offered load.
 
-    This is the spec-derived cross-rack subset — analytically, the same
-    packets the DES transit identity ``sum(ToRs) − spine`` isolates: a
-    cross-rack host's requests leave the client's rack (up), enter the
+    The loads are the spec-derived cross-rack subset — analytically, the
+    same packets the DES transit identity ``sum(ToRs) − spine`` isolates:
+    a cross-rack host's requests leave the client's rack (up), enter the
     host's rack (down), and its responses make the reverse trip.  Loads
-    always cover the **whole** fleet, not just an estimated subset: the
-    FIFO uplinks queue everyone's packets together.
+    cover the **whole** fleet: the FIFO uplinks queue everyone's packets
+    together.
     """
     racks = spec.fabric.rack_names()
     up = {rack: 0.0 for rack in racks}
@@ -246,19 +181,34 @@ def _uplink_direction_loads(
         down[host_rack] += rate    # ...and enter the host's rack
         up[host_rack] += rate      # responses leave the host's rack
         down[client_rack] += rate  # ...and return to the client's rack
-    return up, down
+    # every ToR↔spine direction shares the one declared UplinkSpec
+    uplink = FabricUplinkModel(
+        latency_us=spec.fabric.uplink.latency_us,
+        effective_bps=spec.fabric.uplink.effective_bandwidth_bps(),
+    )
+
+    def terms(loads: Dict[str, float]) -> Dict[str, Tuple[float, float]]:
+        return {
+            rack: (uplink.crossing_us(load), uplink.throughput_factor(load))
+            for rack, load in loads.items()
+        }
+
+    return terms(up), terms(down)
 
 
-def _host_models(host, mode: str):
-    """(power_at(pps), capacity_pps, latency_at(pps)) for one host+mode."""
+@lru_cache(maxsize=128)
+def _host_models(device_kind: str, power_save: bool, mode: str):
+    """(power_at(pps), capacity_pps, latency_at(pps)) for one host+mode,
+    memoized per (device kind, power-save, mode): a sweep grid builds each
+    host model once, not once per host per point."""
     software = memcached_model()
-    if mode == "software" or not host.device.is_offload:
+    profile = get_device(device_kind)
+    if mode == "software" or not profile.is_offload:
         # the software pin (and a NIC-only host under the hardware pin,
         # which has nothing to shift to).  power_save holds a present card
         # in its standby configuration: the card replaces the NIC, so the
         # host curve loses the NIC idle share and gains the standby draw.
-        if host.device.is_offload and host.power_save:
-            profile = get_device(host.device.kind)
+        if profile.is_offload and power_save:
             standby_w = profile.standby_power_w("kvs")
 
             def power_at(pps: float) -> float:
@@ -270,22 +220,19 @@ def _host_models(host, mode: str):
 
             return power_at, software.capacity_pps, software.latency_at
         return software.power_at, software.capacity_pps, software.latency_at
-    hardware = device_hardware_model("kvs", host.device.kind)
+    hardware = device_hardware_model("kvs", device_kind)
     return hardware.power_at, hardware.capacity_pps, hardware.latency_at
 
 
-def steady_point(
-    spec: ScenarioSpec,
-    mode: str,
-    host_indices: Optional[Sequence[int]] = None,
-) -> SteadyEstimate:
-    """Analytic aggregate for one pinned mode of an eligible scenario.
+def _check_mode(mode: str) -> None:
+    if mode not in _FASTPATH_MODES:
+        raise ConfigurationError(
+            f"fast path answers {', '.join(_FASTPATH_MODES)}; got {mode!r}"
+        )
 
-    ``host_indices`` restricts the estimate to a subset of the rack's
-    hosts (the per-placement fast path: analytics for the pinned hosts of
-    a mixed rack while the shifting ones run DES).  Rates always come from
-    the **full** rack's shard split, so the subset estimate composes
-    exactly with the residual sub-rack's DES aggregate.
+
+def steady_point(spec: ScenarioSpec, mode: str) -> SteadyEstimate:
+    """Analytic aggregate for one pinned mode of an eligible scenario.
 
     On a fabric spec, placement keys are rack-qualified (matching the
     builder's ``power_by_placement`` spelling) and every cross-rack host
@@ -293,40 +240,37 @@ def steady_point(
     plus the bottleneck direction's throughput cap — see
     :mod:`repro.steady.fabric` for the model and its validity envelope.
     """
-    if mode not in _FASTPATH_MODES:
+    _check_mode(mode)
+    return _steady_estimate(spec, mode)
+
+
+def steady_grid(
+    specs: Sequence[ScenarioSpec], mode: str
+) -> List[SteadyEstimate]:
+    """:func:`steady_point` over many eligible specs (a sweep grid's
+    pinned variants): the mode is checked once, and every estimate is the
+    one ``steady_point(spec, mode)`` returns."""
+    _check_mode(mode)
+    return [_steady_estimate(spec, mode) for spec in specs]
+
+
+def _steady_estimate(spec: ScenarioSpec, mode: str) -> SteadyEstimate:
+    if not steady_eligible(spec):
         raise ConfigurationError(
-            f"fast path answers {', '.join(_FASTPATH_MODES)}; got {mode!r}"
+            f"scenario {spec.name!r} is not steady-state eligible "
+            "(see scenarios.fastpath.steady_eligible)"
         )
-    if host_indices is None:
-        if not steady_eligible(spec):
-            raise ConfigurationError(
-                f"scenario {spec.name!r} is not steady-state eligible "
-                "(see scenarios.fastpath.steady_eligible)"
-            )
-        host_indices = range(len(spec.kvs_hosts))
-    else:
-        if not _rack_steady_shape(spec):
-            raise ConfigurationError(
-                f"scenario {spec.name!r} is not a rate-constant KVS rack"
-            )
-        for i in host_indices:
-            if not host_steady_eligible(spec.kvs_hosts[i]):
-                raise ConfigurationError(
-                    f"host {spec.kvs_hosts[i].name!r} is not steady-state "
-                    "eligible (live controller or co-located job)"
-                )
     rates = _per_host_rates(spec)
-    selected = [(spec.kvs_hosts[i], rates[i]) for i in host_indices]
-    total_offered = sum(rate for _, rate in selected)
     fabric = spec.fabric
     if fabric is not None:
-        uplink = _fabric_uplink_model(spec)
-        up_loads, down_loads = _uplink_direction_loads(spec, rates)
+        up, down = _uplink_direction_terms(spec, rates)
     achieved = 0.0
     power_by_placement: Dict[str, float] = {}
     latencies: List[Tuple[float, float]] = []  # (served share, latency)
-    for host, rate in selected:
-        power_at, capacity, latency_at = _host_models(host, mode)
+    for host, rate in zip(spec.kvs_hosts, rates):
+        power_at, capacity, latency_at = _host_models(
+            host.device.kind, host.power_save, mode
+        )
         served = min(rate, capacity)
         latency = latency_at(rate)
         key = host.name
@@ -338,15 +282,13 @@ def steady_point(
                 # host-rack up, client-rack down — four traversals, each
                 # at its own direction's offered load
                 directions = (
-                    up_loads[client_rack],
-                    down_loads[host_rack],
-                    up_loads[host_rack],
-                    down_loads[client_rack],
+                    up[client_rack],
+                    down[host_rack],
+                    up[host_rack],
+                    down[client_rack],
                 )
-                latency += sum(uplink.crossing_us(load) for load in directions)
-                served *= min(
-                    uplink.throughput_factor(load) for load in directions
-                )
+                latency += sum(crossing for crossing, _ in directions)
+                served *= min(factor for _, factor in directions)
         achieved += served
         power_by_placement[key] = power_at(rate)
         latencies.append((served, latency))
@@ -356,7 +298,7 @@ def steady_point(
     p50 = sum(share * lat for share, lat in latencies) / total_served
     return SteadyEstimate(
         mode=mode,
-        offered_pps=total_offered,
+        offered_pps=sum(rates),
         achieved_pps=achieved,
         total_power_w=total_power,
         p50_latency_us=p50,
@@ -364,218 +306,6 @@ def steady_point(
         ops_per_watt=achieved / total_power if total_power > 0 else 0.0,
         power_by_placement=power_by_placement,
     )
-
-
-@lru_cache(maxsize=128)
-def _grid_host_constants(
-    device_kind: str, is_offload: bool, power_save: bool, mode: str
-) -> Tuple:
-    """The scalar constants :func:`_host_models`' closures close over,
-    flattened for the array kernels and memoized per (device kind, mode):
-    a sweep grid re-derives each model family once, not once per point.
-
-    Returns ``("software", capacity, idle, span, alpha, poly_w, poly_exp,
-    sub_w, add_w, base_latency_us)`` or ``("hardware", capacity, fixed_w,
-    dyn_max_w, latency_us)``; ``fixed_w`` is host idle + the probed card
-    draw (``power_at(0.0)``, exact — the dynamic term is +0.0 there).
-    """
-    software = memcached_model()
-    if mode == "software" or not is_offload:
-        sub_w = add_w = 0.0
-        if is_offload and power_save:
-            sub_w = cal.NIC_MELLANOX_CX311A_IDLE_W
-            add_w = get_device(device_kind).standby_power_w("kvs")
-        span = software.peak_w - software.idle_w - software.poly_w
-        return (
-            "software",
-            software.capacity_pps,
-            software.idle_w,
-            span,
-            software.alpha,
-            software.poly_w,
-            software.poly_exp,
-            sub_w,
-            add_w,
-            software.base_latency_us(),
-        )
-    hardware = device_hardware_model("kvs", device_kind)
-    return (
-        "hardware",
-        hardware.capacity_pps,
-        hardware.power_at(0.0),
-        hardware.card_dynamic_max_w,
-        hardware.base_latency_us(),
-    )
-
-
-def steady_grid(
-    specs: Sequence[ScenarioSpec], mode: str
-) -> List[SteadyEstimate]:
-    """Batched :func:`steady_point`: one vectorized pass over many
-    eligible specs (a sweep grid's pinned variants), identical output.
-
-    The grid is flattened into struct-of-arrays host records — offered
-    rate plus the memoized per-device model constants — and evaluated
-    through the array kernels of :mod:`repro.steady.grid`; cross-rack
-    hosts of fabric specs additionally gather their four uplink-direction
-    loads for the batched M/D/1 adder.  Per-spec reductions (achieved
-    sum, wall-power sum, the served-weighted p50) stay in python, in host
-    order, so every returned :class:`SteadyEstimate` is byte-identical to
-    ``steady_point(spec, mode)``.
-
-    Without numpy (or under ``REPRO_PURE_PYTHON=1``) the fallback *is*
-    the per-point loop — identity by construction.
-    """
-    if mode not in _FASTPATH_MODES:
-        raise ConfigurationError(
-            f"fast path answers {', '.join(_FASTPATH_MODES)}; got {mode!r}"
-        )
-    specs = list(specs)
-    if not steady_grid_kernels.have_numpy():
-        return [steady_point(spec, mode) for spec in specs]
-    # -- flatten: one record per (spec, host) --------------------------------
-    flat_rate: List[float] = []
-    sw_slots: List[int] = []
-    hw_slots: List[int] = []
-    sw_const: List[List[float]] = [[] for _ in range(9)]
-    hw_const: List[List[float]] = [[] for _ in range(4)]
-    # cross-rack records: flat slot + the four direction loads + uplink
-    cross_slots: List[int] = []
-    cross_loads: Tuple[List[float], ...] = ([], [], [], [])
-    cross_lat: List[float] = []
-    cross_ser: List[float] = []
-    cross_cap: List[float] = []
-    layouts = []  # per spec: (slot_lo, rates, placement keys)
-    for spec in specs:
-        if not steady_eligible(spec):
-            raise ConfigurationError(
-                f"scenario {spec.name!r} is not steady-state eligible "
-                "(see scenarios.fastpath.steady_eligible)"
-            )
-        rates = _per_host_rates(spec)
-        fabric = spec.fabric
-        if fabric is not None:
-            uplink = _fabric_uplink_model(spec)
-            serialization_us = uplink.serialization_us
-            capacity_pps = uplink.capacity_pps
-            up_loads, down_loads = _uplink_direction_loads(spec, rates)
-        slot_lo = len(flat_rate)
-        keys = []
-        for i, host in enumerate(spec.kvs_hosts):
-            slot = len(flat_rate)
-            flat_rate.append(rates[i])
-            constants = _grid_host_constants(
-                host.device.kind,
-                host.device.is_offload,
-                host.power_save,
-                mode,
-            )
-            if constants[0] == "software":
-                sw_slots.append(slot)
-                for column, value in zip(sw_const, constants[1:]):
-                    column.append(value)
-            else:
-                hw_slots.append(slot)
-                for column, value in zip(hw_const, constants[1:]):
-                    column.append(value)
-            key = host.name
-            if fabric is not None:
-                host_rack, client_rack = _host_racks(spec, host)
-                key = rack_qualified(host_rack, host.name)
-                if client_rack != host_rack:
-                    cross_slots.append(slot)
-                    directions = (
-                        up_loads[client_rack],
-                        down_loads[host_rack],
-                        up_loads[host_rack],
-                        down_loads[client_rack],
-                    )
-                    for column, load in zip(cross_loads, directions):
-                        column.append(load)
-                    cross_lat.append(uplink.latency_us)
-                    cross_ser.append(serialization_us)
-                    cross_cap.append(capacity_pps)
-            keys.append(key)
-        layouts.append((slot_lo, rates, keys))
-    # -- evaluate the flattened records through the array kernels ------------
-    n = len(flat_rate)
-    power = [0.0] * n
-    served = [0.0] * n
-    latency = [0.0] * n
-    if sw_slots:
-        sw_rate = [flat_rate[s] for s in sw_slots]
-        capacity = sw_const[0]
-        for slot, value in zip(
-            sw_slots, steady_grid_kernels.software_power(sw_rate, *sw_const[:8])
-        ):
-            power[slot] = value
-        for slot, value in zip(
-            sw_slots, steady_grid_kernels.served_pps(sw_rate, capacity)
-        ):
-            served[slot] = value
-        for slot, value in zip(
-            sw_slots,
-            steady_grid_kernels.software_latency(sw_rate, capacity, sw_const[8]),
-        ):
-            latency[slot] = value
-    if hw_slots:
-        hw_rate = [flat_rate[s] for s in hw_slots]
-        capacity = hw_const[0]
-        for slot, value in zip(
-            hw_slots,
-            steady_grid_kernels.hardware_power(
-                hw_rate, capacity, hw_const[1], hw_const[2]
-            ),
-        ):
-            power[slot] = value
-        for slot, value in zip(
-            hw_slots, steady_grid_kernels.served_pps(hw_rate, capacity)
-        ):
-            served[slot] = value
-        for slot, base in zip(hw_slots, hw_const[3]):
-            latency[slot] = base  # fully pipelined: flat with load (§9.5)
-    if cross_slots:
-        # four traversals, each at its own direction's load; the adder and
-        # the bottleneck cap compose in the scalar path's exact order
-        crossings = [
-            steady_grid_kernels.crossing_us(loads, cross_lat, cross_ser)
-            for loads in cross_loads
-        ]
-        factors = [
-            steady_grid_kernels.throughput_factor(loads, cross_cap)
-            for loads in cross_loads
-        ]
-        for j, slot in enumerate(cross_slots):
-            adder = (
-                (crossings[0][j] + crossings[1][j]) + crossings[2][j]
-            ) + crossings[3][j]
-            latency[slot] = latency[slot] + adder
-            served[slot] = served[slot] * min(f[j] for f in factors)
-    # -- per-spec reductions, python-ordered like steady_point ---------------
-    estimates = []
-    for spec, (slot_lo, rates, keys) in zip(specs, layouts):
-        slots = range(slot_lo, slot_lo + len(keys))
-        total_offered = sum(rates)
-        achieved = sum(served[s] for s in slots)
-        power_by_placement = {
-            key: power[s] for key, s in zip(keys, slots)
-        }
-        total_power = sum(power_by_placement.values())
-        total_served = sum(served[s] for s in slots) or 1.0
-        p50 = sum(served[s] * latency[s] for s in slots) / total_served
-        estimates.append(
-            SteadyEstimate(
-                mode=mode,
-                offered_pps=total_offered,
-                achieved_pps=achieved,
-                total_power_w=total_power,
-                p50_latency_us=p50,
-                p99_latency_us=p50,  # steady curves model medians only
-                ops_per_watt=achieved / total_power if total_power > 0 else 0.0,
-                power_by_placement=power_by_placement,
-            )
-        )
-    return estimates
 
 
 @dataclass

@@ -328,13 +328,6 @@ class KvsHostSpec:
     start_in_hardware: bool = False
     #: Which offload card this host carries (``none`` = NIC-only host).
     device: DeviceSpec = DeviceSpec()
-    #: Which key shard of the rack-wide keyspace this host owns.  Defaults
-    #: to the host's position; set explicitly (with
-    #: ``KvsWorkloadSpec.n_shards``) to build a *sub-rack* — a residual
-    #: scenario simulating only some shards of a larger rack while keeping
-    #: every per-shard RNG stream, traffic weight and route identical to
-    #: the full rack (the per-placement steady fast path depends on this).
-    shard_index: Optional[int] = None
     #: Which fabric rack this host (and its client) lives in.  Requires
     #: ``ScenarioSpec.fabric``; None means the fabric's default rack — or,
     #: without a fabric, the plain single-ToR wiring.
@@ -369,13 +362,6 @@ class KvsWorkloadSpec:
     zipf_s: float = 0.99
     preload: bool = True
     phases: PhaseSchedule = ()
-    #: Total shard count of the rack this workload describes.  ``None``
-    #: (the default) means "one shard per declared host".  Setting it
-    #: larger than the host count declares a sub-rack: the declared hosts
-    #: own only their ``shard_index`` shards, traffic for absent shards is
-    #: simply not offered, and ``rate_kpps`` still names the **full** rack
-    #: load so per-shard rates stay identical to the complete scenario.
-    n_shards: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -501,16 +487,6 @@ class PaxosSpec:
             *self.acceptor_names(),
             *self.client_names(),
         ]
-
-
-@dataclass(frozen=True)
-class OnDemandSweepSpec:
-    """The analytic Figure-5 sweep: on-demand vs software-only power for
-    each application's steady-state model across offered rates."""
-
-    max_rate_kpps: float = 1200.0
-    steps: int = 25
-    peak_rate_kpps: float = 1000.0
 
 
 def _validate_host(host, app: str) -> None:
@@ -668,7 +644,6 @@ class ScenarioSpec:
                     f"scenario {self.name!r} declares a KVS workload but no hosts"
                 )
             _validate_phases(self.kvs_workload.phases, "KVS workload")
-            self._validate_kvs_shards()
         for host in self.kvs_hosts:
             _validate_host(host, "kvs")
             for job in host.colocated:
@@ -677,37 +652,6 @@ class ScenarioSpec:
                         f"colocated job on {host.name!r} stops before it starts"
                     )
         self._validate_kvs_served_by()
-
-    def _validate_kvs_shards(self) -> None:
-        n_shards = self.kvs_workload.n_shards
-        indices = [h.shard_index for h in self.kvs_hosts]
-        if n_shards is None:
-            if any(i is not None for i in indices):
-                raise ConfigurationError(
-                    f"scenario {self.name!r} sets shard_index on a KVS host "
-                    "but the workload declares no n_shards"
-                )
-            return
-        if n_shards < len(self.kvs_hosts):
-            raise ConfigurationError(
-                f"scenario {self.name!r} declares n_shards={n_shards} for "
-                f"{len(self.kvs_hosts)} KVS hosts"
-            )
-        if any(i is None for i in indices):
-            raise ConfigurationError(
-                f"scenario {self.name!r} declares n_shards but a KVS host "
-                "is missing its shard_index"
-            )
-        if len(set(indices)) != len(indices):
-            raise ConfigurationError(
-                f"scenario {self.name!r} assigns the same shard_index twice"
-            )
-        for i in indices:
-            if not 0 <= i < n_shards:
-                raise ConfigurationError(
-                    f"scenario {self.name!r} shard_index {i} out of range "
-                    f"for n_shards={n_shards}"
-                )
 
     def _validate_kvs_served_by(self) -> None:
         """Consolidated initial ownership must name a real, distinct host
@@ -897,15 +841,8 @@ class ScenarioSpec:
 
     @property
     def sharded(self) -> bool:
-        """Rack mode: more than one KVS host — or a declared sub-rack of a
-        sharded rack — ⇒ key-sharded ToR routing."""
-        if len(self.kvs_hosts) > 1:
-            return True
-        return (
-            self.kvs_workload is not None
-            and self.kvs_workload.n_shards is not None
-            and self.kvs_workload.n_shards > 1
-        )
+        """Rack mode: more than one KVS host ⇒ key-sharded ToR routing."""
+        return len(self.kvs_hosts) > 1
 
     @property
     def dns_sharded(self) -> bool:

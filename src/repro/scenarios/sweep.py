@@ -525,52 +525,6 @@ def _steady_aggregate(pinned_spec: ScenarioSpec, mode: str) -> SweepAggregate:
     return _estimate_aggregate(steady_point(pinned_spec, mode), mode)
 
 
-def _hybrid_ondemand_aggregate(
-    od_spec: ScenarioSpec,
-    analytic_indices: Tuple[int, ...],
-    residual: ScenarioSpec,
-) -> SweepAggregate:
-    """Per-placement fast path for the on-demand pin of a mixed rack.
-
-    Hosts that cannot shift (NIC-only, or declared with no controller) sit
-    in the software placement for the whole run, so the steady curves
-    answer them; only the shifting hosts run DES — as a residual sub-rack
-    that keeps the full rack's shard space, so their series are the ones
-    the full DES would have produced.  The two halves add: rates and watts
-    sum, latency percentiles merge achieved-weighted.
-    """
-    from .fastpath import steady_point
-
-    est = steady_point(od_spec, "software", host_indices=analytic_indices)
-    run = ScenarioBuilder(residual).build()
-    result = run.execute()
-    des = _aggregate(run, result, "ondemand")
-    achieved = est.achieved_pps + des.achieved_pps
-    total_power = est.total_power_w + des.total_power_w
-    total = achieved or 1.0
-    p50 = (
-        est.p50_latency_us * est.achieved_pps
-        + des.p50_latency_us * des.achieved_pps
-    ) / total
-    p99 = (
-        est.p99_latency_us * est.achieved_pps
-        + des.p99_latency_us * des.achieved_pps
-    ) / total
-    return SweepAggregate(
-        mode="ondemand",
-        offered_pps=est.offered_pps + des.offered_pps,
-        achieved_pps=achieved,
-        total_power_w=total_power,
-        p50_latency_us=p50,
-        p99_latency_us=p99,
-        ops_per_watt=achieved / total_power if total_power > 0 else 0.0,
-        power_by_placement={
-            **est.power_by_placement,
-            **des.power_by_placement,
-        },
-    )
-
-
 def _run_grid_point(
     task: Tuple[ScenarioSweepSpec, Dict[str, object], bool]
 ) -> SweepPointResult:
@@ -608,46 +562,20 @@ def _run_grid_point(
 def _evaluate_grid_point(
     spec: ScenarioSweepSpec, params: Dict[str, object], fastpath: bool
 ) -> SweepPointResult:
-    scenario = _materialize(spec, params)
-    if fastpath:
-        from .fastpath import split_steady, steady_eligible
+    from .fastpath import steady_eligible
 
-        if steady_eligible(software_variant(scenario)):
-            # rate-constant KVS pins: the steady curves replace both DES
-            # replays (the on-demand pin below still runs DES when it can
-            # actually shift — controllers are not rate-constant)
-            software = _steady_aggregate(software_variant(scenario), "software")
-            hardware = _steady_aggregate(hardware_variant(scenario), "hardware")
-            if _has_ondemand_drive(scenario):
-                od_spec = ondemand_variant(scenario)
-                analytic_idx, residual = split_steady(od_spec)
-                if analytic_idx and residual is not None:
-                    # mixed rack: analytics for the hosts that cannot
-                    # shift, DES only for the sub-rack that can
-                    ondemand = _hybrid_ondemand_aggregate(
-                        od_spec, analytic_idx, residual
-                    )
-                else:
-                    od_run, od_result = run_pinned(scenario, "ondemand")
-                    ondemand = _aggregate(od_run, od_result, "ondemand")
-            else:
-                ondemand = dataclasses.replace(
-                    software,
-                    mode="ondemand",
-                    power_by_placement=dict(software.power_by_placement),
-                )
-            return SweepPointResult(
-                params=params,
-                software=software,
-                hardware=hardware,
-                ondemand=ondemand,
-            )
-    sw_run, sw_result = run_pinned(scenario, "software")
-    hw_run, hw_result = run_pinned(scenario, "hardware")
-    software = _aggregate(sw_run, sw_result, "software")
+    scenario = _materialize(spec, params)
+    if fastpath and steady_eligible(software_variant(scenario)):
+        # rate-constant KVS pins: the steady curves replace both DES
+        # replays (the on-demand pin below still runs the full DES when it
+        # can actually shift — controllers are not rate-constant)
+        software = _steady_aggregate(software_variant(scenario), "software")
+        hardware = _steady_aggregate(hardware_variant(scenario), "hardware")
+    else:
+        software = _aggregate(*run_pinned(scenario, "software"), "software")
+        hardware = _aggregate(*run_pinned(scenario, "hardware"), "hardware")
     if _has_ondemand_drive(scenario):
-        od_run, od_result = run_pinned(scenario, "ondemand")
-        ondemand = _aggregate(od_run, od_result, "ondemand")
+        ondemand = _aggregate(*run_pinned(scenario, "ondemand"), "ondemand")
     else:
         # nothing can shift (no controllers, no scheduled shifts):
         # the on-demand run is the software run, so don't re-run it
@@ -659,7 +587,7 @@ def _evaluate_grid_point(
     return SweepPointResult(
         params=params,
         software=software,
-        hardware=_aggregate(hw_run, hw_result, "hardware"),
+        hardware=hardware,
         ondemand=ondemand,
     )
 
@@ -984,8 +912,9 @@ def _run_adaptive(
     """The adaptive crossover search: analytic grid, calibrated brackets,
     DES only at the decision boundary.
 
-    One vectorized pass per pin (:func:`repro.scenarios.fastpath.steady_grid`)
-    answers the analytic ops/W margin ``hw − sw`` at every eligible grid
+    One :func:`repro.scenarios.fastpath.steady_grid` call per pin (the
+    memoized steady models, a few scalar calls per host) answers the
+    analytic ops/W margin ``hw − sw`` at every eligible grid
     point.  The analytic margin has the right *shape* but a finite-replay
     bias against the DES (the fast-path tolerance, a few percent — enough
     to flip the winner where the pins are close), so each ramp group's
@@ -1026,7 +955,7 @@ def _run_adaptive(
             "search (see repro.scenarios.fastpath.steady_eligible)"
         )
     _validate_anchors(spec, anchors)
-    # one vectorized kernel pass per pin answers every eligible point
+    # one steady_grid call per pin answers every eligible point
     elig = [i for i in range(len(grid)) if eligible[i]]
     sw_est = steady_grid(
         [software_variant(scenarios[i]) for i in elig], "software"
@@ -1267,7 +1196,7 @@ def run_sweep(
     is a misconfiguration, not a slow success.
 
     ``search="adaptive"`` brackets each ramp group's sw/hw crossover on
-    the vectorized analytic grid and replays the full DES only at the
+    the analytic grid and replays the full DES only at the
     bracketing points (plus any ``anchors`` — mappings of axis values
     that must always replay), walking the bracket until the crossover is
     DES-confirmed on both sides; every other point carries analytic
@@ -1703,10 +1632,11 @@ def sweep_fastpath_eligibility(
 ) -> str:
     """Classify a sweep's grid for the analytic fast path.
 
-    ``"eligible"`` — every grid point is steady-state eligible (the
-    vectorized grid kernel and the adaptive search cover the whole
-    grid); ``"partial"`` — only some points are; ``"DES-only"`` — none
-    are (``fastpath=True`` and ``search="adaptive"`` both refuse).
+    ``"eligible"`` — every grid point's pins are steady-state eligible
+    (``fastpath=True`` answers them from the steady models and the
+    adaptive search brackets on the whole grid); ``"partial"`` — only
+    some points are; ``"DES-only"`` — none are (``fastpath=True`` and
+    ``search="adaptive"`` both refuse).
     Shown per sweep by ``python -m repro --list``.
     """
     spec = _resolve_sweep(sweep, overrides)

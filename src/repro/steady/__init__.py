@@ -8,7 +8,6 @@ cards are literally :class:`repro.hw.NetFpgaSume` instances), and the
 integration tests check the two layers agree at overlapping rates.
 """
 
-from . import grid
 from .base import SteadyModel, SoftwareCurveModel, HardwareCardModel, find_crossover
 from .fabric import NOMINAL_KVS_PACKET_BYTES, FabricUplinkModel
 from .kvs import kvs_models
@@ -23,7 +22,6 @@ from .ondemand import (
 )
 
 __all__ = [
-    "grid",
     "SteadyModel",
     "SoftwareCurveModel",
     "HardwareCardModel",

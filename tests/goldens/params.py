@@ -8,6 +8,9 @@ the rendered text byte-for-byte, proving the fast kernel preserves event
 ordering and RNG draw sequences.  ``rack_mixed.txt`` was captured later,
 before the KVS and DNS host builders were merged into one, and freezes
 the DNS host path and the per-placement wall-power attribution.
+``steady_fastpath.txt`` freezes the analytic fast path at full precision:
+one ``repr`` line per pinned ``steady_point`` estimate, so a one-ulp drift
+in the steady formulas shows (rendered sweep tables round it away).
 
 Keep the parameters here small: these runs execute inside tier-1 tests.
 """
@@ -47,12 +50,30 @@ RACK_MIXED_PARAMS = dict(
     n_names=300,
 )
 
+#: (sweep, overrides) grids whose every pinned point the ``steady`` golden
+#: answers analytically: every KVS-capable device kind, and 1/2/4 fabric
+#: racks; 400 kpps per host saturates the software curve (capacity cap and
+#: latency inflation).
+STEADY_PARAMS = (
+    (
+        "sweep-rack-hetero",
+        dict(
+            device_kinds=(
+                "accelnet-fpga", "asic-nic", "netfpga-sume", "none", "soc-nic"
+            ),
+            rates_kpps=(8.0, 24.0, 400.0),
+        ),
+    ),
+    ("sweep-fabric-scale", dict(racks=(1, 2, 4), rates_kpps=(8.0, 24.0, 400.0))),
+)
+
 GOLDENS = {
     "fig6_kvs_transition.txt": ("fig6", FIG6_PARAMS),
     "fig7_paxos_transition.txt": ("fig7", FIG7_PARAMS),
     "sweep_rack_kvs.txt": ("sweep-rack-kvs", SWEEP_KVS_PARAMS),
     "sweep_rack_hetero.txt": ("sweep-rack-hetero", SWEEP_HETERO_PARAMS),
     "rack_mixed.txt": ("scenario", ("rack-mixed", RACK_MIXED_PARAMS)),
+    "steady_fastpath.txt": ("steady", STEADY_PARAMS),
 }
 
 
@@ -61,7 +82,10 @@ def generate(kind: str, params) -> str:
 
     The ``scenario`` kind takes ``(name, overrides)`` and appends one
     ``placement=repr(watts)`` line per sorted ``power_by_placement`` entry
-    to the render, freezing the wall-power attribution exactly.
+    to the render, freezing the wall-power attribution exactly.  The
+    ``steady`` kind takes ``STEADY_PARAMS`` and writes one line per grid
+    point and pin (software, hardware) with the ``repr`` of the analytic
+    estimate's offered, achieved, total power, p50 and sorted placements.
     """
     if kind == "fig6":
         from repro.experiments import run_figure6
@@ -80,6 +104,35 @@ def generate(kind: str, params) -> str:
         return "\n".join(
             [result.render(), *(f"{key}={power[key]!r}" for key in sorted(power))]
         )
+    if kind == "steady":
+        return _steady_lines(params)
     from repro.scenarios import build_sweep_spec, run_sweep
 
     return run_sweep(build_sweep_spec(kind, **params)).render()
+
+
+def _steady_lines(grids) -> str:
+    from repro.scenarios import (
+        build_spec,
+        build_sweep_spec,
+        hardware_variant,
+        software_variant,
+        steady_point,
+    )
+
+    pins = (("software", software_variant), ("hardware", hardware_variant))
+    lines = []
+    for name, overrides in grids:
+        sweep = build_sweep_spec(name, **overrides)
+        for params in sweep.points():
+            scenario = build_spec(sweep.base, **sweep.fixed_dict(), **params)
+            for mode, variant in pins:
+                est = steady_point(variant(scenario), mode)
+                placements = sorted(est.power_by_placement.items())
+                lines.append(
+                    f"{name} {params!r} {mode}: offered={est.offered_pps!r} "
+                    f"achieved={est.achieved_pps!r} "
+                    f"power={est.total_power_w!r} p50={est.p50_latency_us!r} "
+                    f"placements={placements!r}"
+                )
+    return "\n".join(lines) + "\n"

@@ -17,7 +17,6 @@ from repro.net.topology import uplink_effective_bps
 from repro.scenarios import (
     build_spec,
     software_variant,
-    split_steady,
     steady_eligible,
     steady_point,
     validate_fastpath,
@@ -63,25 +62,6 @@ def test_fabric_kvs_crossrack_is_not_eligible():
 def test_fabric_paxos_split_is_not_eligible():
     # Paxos groups are closed-loop; the steady curves do not model them
     assert not steady_eligible(build_spec("fabric-paxos-split"))
-
-
-def test_split_steady_on_fabric_is_all_or_nothing():
-    import dataclasses
-
-    from repro.scenarios import ControllerSpec
-
-    spec = small_fabric()
-    indices, residual = split_steady(spec)
-    assert indices == tuple(range(len(spec.kvs_hosts)))
-    assert residual is None
-
-    # give one host a live controller: eligible and residual hosts would
-    # share uplink FIFO queues, so no partial split — full DES instead
-    host = dataclasses.replace(
-        spec.kvs_hosts[0], controller=ControllerSpec(kind="ondemand")
-    )
-    mixed = dataclasses.replace(spec, kvs_hosts=(host,) + spec.kvs_hosts[1:])
-    assert split_steady(mixed) == ((), mixed)
 
 
 # -- the analytic uplink model ----------------------------------------------

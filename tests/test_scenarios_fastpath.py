@@ -7,8 +7,12 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.scenarios import (
     ControllerSpec,
+    DeviceSpec,
+    ScenarioSweepSpec,
+    SweepAxis,
     build_spec,
     build_sweep_spec,
+    hardware_variant,
     run_sweep,
     software_variant,
     steady_eligible,
@@ -61,6 +65,29 @@ def test_replaced_controller_breaks_eligibility():
     )
     spec = dataclasses.replace(spec, kvs_hosts=(host,) + spec.kvs_hosts[1:])
     assert not steady_eligible(spec)
+
+
+@pytest.mark.parametrize(
+    "params", [dict(with_external_memories=False), dict(pe_count=16)]
+)
+def test_device_params_are_not_eligible(params):
+    """``DeviceSpec.params`` change what the DES card draws (a 1-host
+    rack at 60 kpps, hardware pin, 4 s: 63.8 W stock, 59.7 W without
+    external memories, 66.5 W with 16 PEs), but the steady curves are per
+    device kind (59.0 W for all three) — such a host must replay the
+    DES, not get the stock card's answer."""
+    spec = hardware_variant(
+        build_spec("rack-kvs", n_hosts=1, rate_per_host_kpps=60.0)
+    )
+    assert steady_eligible(spec)
+    host = dataclasses.replace(
+        spec.kvs_hosts[0], device=DeviceSpec(kind="netfpga-sume", params=params)
+    )
+    custom = dataclasses.replace(spec, kvs_hosts=(host,))
+    custom.validate()
+    assert not steady_eligible(custom)
+    with pytest.raises(ConfigurationError, match="not steady-state eligible"):
+        steady_point(custom, "hardware")
 
 
 # -- the analytic point -----------------------------------------------------
@@ -136,13 +163,12 @@ def test_run_sweep_fastpath_smoke():
     assert "sweep-rack-kvs" in result.render()
 
 
-# -- per-placement eligibility (split_steady) --------------------------------
+# -- per-host eligibility -----------------------------------------------------
 
 
 def hetero_rack(rate_per_host_kpps=24.0, duration_s=0.25):
     """A mixed rack: one NetFPGA host (can shift) + one NIC-only host.
-    ``ramp=False`` keeps the workload rate-constant (phase-free), the
-    shape the per-placement fast path requires."""
+    ``ramp=False`` keeps the workload rate-constant (phase-free)."""
     return build_spec(
         "rack-hetero",
         device_kinds=("netfpga-sume", "none"),
@@ -163,93 +189,10 @@ def test_host_steady_eligible_per_host():
     assert host_steady_eligible(od.kvs_hosts[1])
 
 
-def test_split_steady_fully_eligible_rack():
-    from repro.scenarios import split_steady
-
-    spec = small_rack()
-    indices, residual = split_steady(spec)
-    assert indices == tuple(range(len(spec.kvs_hosts)))
-    assert residual is None
-
-
-def test_split_steady_wrong_shape_returns_spec_unchanged():
-    from repro.scenarios import split_steady
-
-    paxos = build_spec("fig7-paxos-transition")
-    assert split_steady(paxos) == ((), paxos)
-
-
-def test_split_steady_mixed_rack_builds_residual_subrack():
-    from repro.scenarios import ondemand_variant, split_steady
-
-    od = ondemand_variant(hetero_rack())
-    indices, residual = split_steady(od)
-    assert indices == (1,)  # the NIC-only host answers analytically
-    assert residual is not None
-    assert [h.name for h in residual.kvs_hosts] == [od.kvs_hosts[0].name]
-    # the residual keeps the full rack's shard space: same n_shards, and
-    # the surviving host pinned to its original shard
-    assert residual.kvs_workload.n_shards == len(od.kvs_hosts)
-    assert residual.kvs_hosts[0].shard_index == 0
-    assert residual.sharded
-
-
-def test_subset_steady_points_compose_to_the_full_estimate():
-    from repro.scenarios import split_steady
-
-    spec = small_rack(n_hosts=3)
-    full = steady_point(spec, "software")
-    parts = [
-        steady_point(spec, "software", host_indices=[i])
-        for i in range(len(spec.kvs_hosts))
-    ]
-    assert sum(p.offered_pps for p in parts) == pytest.approx(
-        full.offered_pps
-    )
-    assert sum(p.achieved_pps for p in parts) == pytest.approx(
-        full.achieved_pps
-    )
-    assert sum(p.total_power_w for p in parts) == pytest.approx(
-        full.total_power_w
-    )
-
-
-def test_subset_steady_point_rejects_ineligible_host():
-    from repro.scenarios import ondemand_variant
-
-    od = ondemand_variant(hetero_rack())
-    with pytest.raises(ConfigurationError):
-        steady_point(od, "software", host_indices=[0])  # live controller
-
-
-def test_hybrid_ondemand_matches_full_des_within_tolerance():
-    """The per-placement fast path (analytics for the pinned half, DES
-    sub-rack for the shifting half) tracks the full DES on-demand run
-    within the fast-path gate tolerance."""
-    from repro.scenarios import ondemand_variant, split_steady
-    from repro.scenarios.builder import ScenarioBuilder
-    from repro.scenarios.sweep import _aggregate, _hybrid_ondemand_aggregate
-
-    od = ondemand_variant(hetero_rack())
-    indices, residual = split_steady(od)
-    assert indices and residual is not None
-    hybrid = _hybrid_ondemand_aggregate(od, indices, residual)
-
-    run = ScenarioBuilder(od).build()
-    des = _aggregate(run, run.execute(), "ondemand")
-    for attr in ("achieved_pps", "total_power_w", "ops_per_watt"):
-        got, want = getattr(hybrid, attr), getattr(des, attr)
-        assert abs(got - want) / want <= DEFAULT_REL_TOL, (
-            f"{attr}: hybrid {got:.1f} vs DES {want:.1f}"
-        )
-    # every host is attributed power by exactly one half
-    assert set(hybrid.power_by_placement) == set(des.power_by_placement)
-
-
 def test_run_sweep_fastpath_covers_ondemand_on_mixed_racks():
     """run_sweep(fastpath=True) on the hetero sweep answers the pins
-    analytically and the on-demand column hybrid — and still renders an
-    on-demand column."""
+    analytically and replays the on-demand pin's DES — and still renders
+    an on-demand column."""
     result = run_sweep(
         build_sweep_spec(
             "sweep-rack-hetero",
@@ -263,80 +206,23 @@ def test_run_sweep_fastpath_covers_ondemand_on_mixed_racks():
     assert all(pt.ondemand is not None for pt in result.points)
 
 
-def test_residual_subrack_host_series_byte_identical_to_full_rack():
-    """The shifting host simulated alone (as the residual sub-rack, full
-    shard space retained) reproduces the exact series it shows in the
-    complete rack: name-keyed RNG streams, shard-keyed workload streams
-    and per-pair ToR links make hosts independent subsystems."""
-    from repro.scenarios import ondemand_variant, split_steady
-    from repro.scenarios.builder import ScenarioBuilder
-
-    od = ondemand_variant(hetero_rack())
-    _, residual = split_steady(od)
-    full = ScenarioBuilder(od).build().execute()
-    sub = ScenarioBuilder(residual).build().execute()
-    name = residual.kvs_hosts[0].name
-    a, b = full.host(name), sub.host(name)
-    assert a.throughput_series == b.throughput_series
-    assert a.latency_series == b.latency_series
-    assert a.power_series == b.power_series
-    assert a.shift_times_us == b.shift_times_us
-    assert (a.responses, a.hw_hits) == (b.responses, b.hw_hits)
-
-
-class TestSubRackSpecValidation:
-    """n_shards/shard_index declare a sub-rack of a larger shard space."""
-
-    def _hosts(self, spec):
-        return spec.kvs_hosts
-
-    def test_shard_index_requires_n_shards(self):
-        spec = hetero_rack()
-        hosts = (
-            dataclasses.replace(spec.kvs_hosts[0], shard_index=0),
-        ) + spec.kvs_hosts[1:]
-        with pytest.raises(ConfigurationError):
-            dataclasses.replace(spec, kvs_hosts=hosts).validate()
-
-    def test_n_shards_must_cover_the_hosts(self):
-        spec = hetero_rack()
-        with pytest.raises(ConfigurationError):
-            dataclasses.replace(
-                spec,
-                kvs_workload=dataclasses.replace(
-                    spec.kvs_workload, n_shards=1
-                ),
-            ).validate()
-
-    def test_shard_indices_must_be_distinct_and_in_range(self):
-        spec = hetero_rack()
-        workload = dataclasses.replace(spec.kvs_workload, n_shards=4)
-        dup = tuple(
-            dataclasses.replace(h, shard_index=2) for h in spec.kvs_hosts
-        )
-        with pytest.raises(ConfigurationError):
-            dataclasses.replace(
-                spec, kvs_hosts=dup, kvs_workload=workload
-            ).validate()
-        oob = (
-            dataclasses.replace(spec.kvs_hosts[0], shard_index=4),
-            dataclasses.replace(spec.kvs_hosts[1], shard_index=0),
-        )
-        with pytest.raises(ConfigurationError):
-            dataclasses.replace(
-                spec, kvs_hosts=oob, kvs_workload=workload
-            ).validate()
-
-    def test_single_host_subrack_is_sharded(self):
-        """One host owning one shard of a 2-shard space still routes and
-        weighs as a sharded rack (the residual sub-rack shape)."""
-        spec = hetero_rack()
-        sub = dataclasses.replace(
-            spec,
-            kvs_hosts=(
-                dataclasses.replace(spec.kvs_hosts[0], shard_index=0),
-            ),
-            kvs_workload=dataclasses.replace(spec.kvs_workload, n_shards=2),
-        )
-        sub.validate()
-        assert sub.sharded
+def test_fastpath_ondemand_pin_on_a_mixed_rack_is_the_full_des():
+    """A mixed rack (one shifting NetFPGA host, one NIC-only host): with
+    fastpath=True the pins are analytic, and the on-demand pin is the
+    very same full-rack DES run the exhaustive sweep replays."""
+    sweep = ScenarioSweepSpec(
+        name="mixed-rack-od",
+        base="rack-hetero",
+        axes=(SweepAxis("rate_per_host_kpps", (24.0,)),),
+        fixed=dict(
+            device_kinds=("netfpga-sume", "none"),
+            ramp=False,
+            ctl_window_s=0.15,
+            duration_s=0.25,
+            keyspace=4_000,
+        ),
+    )
+    fast = run_sweep(sweep, fastpath=True).points[0]
+    full = run_sweep(sweep).points[0]
+    assert fast.ondemand == full.ondemand
+    assert fast.software != full.software  # analytic, not replayed

@@ -1,10 +1,6 @@
-"""The vectorized steady-grid kernel: numpy/scalar parity of every array
-kernel, byte-identity of :func:`steady_grid` against the per-point fast
-path over the registered sweeps, and the ``REPRO_PURE_PYTHON`` gate."""
-
-import os
-import subprocess
-import sys
+"""The analytic steady grid: :func:`steady_grid` returns exactly the
+per-point fast path's estimates over the registered sweeps, and rejects
+what :func:`steady_point` rejects."""
 
 import pytest
 
@@ -17,107 +13,15 @@ from repro.scenarios import (
 )
 from repro.scenarios.fastpath import steady_eligible, steady_point
 from repro.scenarios.sweep import _materialize
-from repro.steady import grid
 
 #: Registered sweeps whose every grid point is steady-state eligible —
-#: the sweeps the vectorized kernel (and the adaptive search) covers.
+#: the sweeps the analytic grid (and the adaptive search) covers.
 ELIGIBLE_SWEEPS = ["sweep-rack-kvs", "sweep-rack-hetero", "sweep-fabric-scale"]
-
-#: Small but non-degenerate grids: below, at, and beyond capacity, plus
-#: zero rate, so the saturation branches of every kernel are exercised.
-_RATE = [0.0, 4_000.0, 38_000.0, 66_000.0, 250_000.0]
-_CAP = [66_000.0, 66_000.0, 66_000.0, 66_000.0, 66_000.0]
 
 
 def _eligible_grid(name):
     sweep = build_sweep_spec(name)
     return [_materialize(sweep, params) for params in sweep.points()]
-
-
-needs_numpy = pytest.mark.skipif(
-    not grid.have_numpy(), reason="numpy not importable in this env"
-)
-
-
-# ---------------------------------------------------------------------------
-# Kernel-level parity: the numpy path vs. the scalar loop, same inputs.
-# ---------------------------------------------------------------------------
-
-
-@needs_numpy
-class TestKernelParity:
-    """Each kernel's vectorized result must equal the scalar loop exactly
-    (``==`` on floats, not approx) — that is what makes the grid fast
-    path byte-identical rather than merely close."""
-
-    def _both(self, monkeypatch, func, *arrays):
-        vec = func(*arrays)
-        monkeypatch.setattr(grid, "_np", None)
-        scalar = func(*arrays)
-        return vec, scalar
-
-    def test_software_power(self, monkeypatch):
-        n = len(_RATE)
-        vec, scalar = self._both(
-            monkeypatch,
-            grid.software_power,
-            _RATE,
-            _CAP,
-            [35.0] * n,                      # idle_w
-            [55.0] * n,                      # span_w
-            [0.53, 1.0, 0.53, 2.0, 0.53],    # alpha: fractional and integral
-            [0.0, 3.0, 0.0, 3.0, 0.0],       # poly_w: off and on
-            [2.0] * n,                       # poly_exp
-            [0.0, 4.1, 0.0, 4.1, 0.0],       # sub_w (power-save NIC out)
-            [0.0, 1.2, 0.0, 1.2, 0.0],       # add_w (card standby in)
-        )
-        assert vec == scalar
-
-    def test_software_latency(self, monkeypatch):
-        vec, scalar = self._both(
-            monkeypatch, grid.software_latency, _RATE, _CAP, [12.0] * len(_RATE)
-        )
-        assert vec == scalar
-
-    def test_hardware_power(self, monkeypatch):
-        n = len(_RATE)
-        vec, scalar = self._both(
-            monkeypatch,
-            grid.hardware_power,
-            _RATE,
-            _CAP,
-            [52.0] * n,
-            [6.5] * n,
-        )
-        assert vec == scalar
-
-    def test_served_pps(self, monkeypatch):
-        vec, scalar = self._both(monkeypatch, grid.served_pps, _RATE, _CAP)
-        assert vec == scalar
-
-    def test_crossing_us(self, monkeypatch):
-        vec, scalar = self._both(
-            monkeypatch,
-            grid.crossing_us,
-            [0.0, 10_000.0, 900_000.0, 2_000_000.0, 5_000_000.0],
-            [1.5] * 5,
-            [0.48] * 5,
-        )
-        assert vec == scalar
-
-    def test_throughput_factor(self, monkeypatch):
-        vec, scalar = self._both(
-            monkeypatch,
-            grid.throughput_factor,
-            [0.0, 50_000.0, 100_000.0, 150_000.0, 400_000.0],
-            [100_000.0] * 5,
-        )
-        assert vec == scalar
-
-    def test_pow_elementwise_is_python_pow(self):
-        base = grid._asarray([0.0, 0.25, 0.5, 0.997, 1.0])
-        out = grid._pow_elementwise(base, grid._asarray([0.53] * 5))
-        assert out.tolist() == [b ** 0.53 for b in base.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +42,6 @@ def test_steady_grid_matches_steady_point(name, mode):
         assert est == one
 
 
-@needs_numpy
-@pytest.mark.parametrize("name", ELIGIBLE_SWEEPS)
-def test_steady_grid_fallback_is_the_per_point_loop(name, monkeypatch):
-    specs = [software_variant(spec) for spec in _eligible_grid(name)]
-    vectorized = steady_grid(specs, "software")
-    monkeypatch.setattr(grid, "_np", None)
-    assert not grid.have_numpy()
-    fallback = steady_grid(specs, "software")
-    assert fallback == [steady_point(spec, "software") for spec in specs]
-    assert fallback == vectorized
-
-
 def test_steady_grid_rejects_unknown_mode():
     specs = [software_variant(_eligible_grid("sweep-rack-kvs")[0])]
     with pytest.raises(ConfigurationError, match="fast path answers"):
@@ -166,34 +58,3 @@ def test_steady_grid_rejects_ineligible_spec():
 
 def test_steady_grid_empty_input():
     assert steady_grid([], "software") == []
-
-
-# ---------------------------------------------------------------------------
-# The environment gate.
-# ---------------------------------------------------------------------------
-
-
-def test_have_numpy_tracks_module_state(monkeypatch):
-    assert grid.have_numpy() == (grid._np is not None)
-    monkeypatch.setattr(grid, "_np", None)
-    assert grid.have_numpy() is False
-
-
-def test_repro_pure_python_disables_numpy_at_import():
-    import repro
-
-    env = dict(os.environ)
-    env["REPRO_PURE_PYTHON"] = "1"
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from repro.steady import grid; print(grid.have_numpy())",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
